@@ -25,7 +25,7 @@ USAGE:
              [--speed X] [--cores N] [--shards N] [--re X] [--rt Y]
              [--queue-cap N] [--snapshot FILE] [--snapshot-period-s S]
              [--trace-out FILE] [--trace-cap N] [--net threads|reactor]
-             [--max-connections N] [--actuator simulated|noop]
+             [--max-connections N]
              [--rebalance on|off] [--telemetry on|off]
   dvfs-sched loadgen (--socket PATH | --tcp ADDR) --mode replay|poisson|closed
              [--trace FILE] [--rate HZ] [--duration-s S] [--clients N]
@@ -243,11 +243,12 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         println!("full report written to {path}");
     }
     if let Some(path) = args.get("log") {
-        let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        report
-            .event_log
-            .write_jsonl(std::io::BufWriter::new(f))
-            .map_err(|e| e.to_string())?;
+        let mut lines = String::new();
+        for entry in &report.event_log.entries {
+            lines.push_str(&serde_json::to_string(entry).map_err(|e| e.to_string())?);
+            lines.push('\n');
+        }
+        std::fs::write(path, lines).map_err(|e| e.to_string())?;
         println!(
             "decision log ({} entries, {} rate changes) written to {path}",
             report.event_log.len(),
@@ -350,11 +351,6 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
     if trace_out.is_some() && trace_capacity == 0 {
         return Err("`--trace-out` requires `--trace-cap N` to enable tracing".into());
     }
-    let actuator = match args.get("actuator").unwrap_or("simulated") {
-        "simulated" => dvfs_serve::ActuatorKind::Simulated,
-        "noop" => dvfs_serve::ActuatorKind::Noop,
-        other => return Err(format!("unknown actuator `{other}` (simulated|noop)")),
-    };
     // `--net` overrides the DVFS_SERVE_NET env default picked up by
     // `ServerConfig::new`; absent, the env selection stands.
     let net = match args.get("net") {
@@ -386,7 +382,6 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
         queue_capacity,
         shards,
         trace_capacity,
-        actuator,
         rebalance,
         telemetry,
     };

@@ -16,9 +16,11 @@
 //!   retrieval (Algorithms 4–6), built on `dvfs-ostree`.
 //! * [`sched`] — the engine-agnostic scheduling interface: the
 //!   [`sched::Scheduler`] event hooks over an abstract
-//!   [`sched::ExecutorView`], implemented by both the
-//!   virtual-time simulator (`dvfs-sim`) and the wall-clock service
-//!   executor (`dvfs-serve`).
+//!   [`sched::ExecutorView`].
+//! * [`exec`] — the one event engine implementing that view: per-core
+//!   DVFS execution, completion epochs and `TaskRecord` accounting.
+//!   The virtual-time simulator (`dvfs-sim`) and the wall-clock service
+//!   executor (`dvfs-serve`) both wrap it.
 //! * [`lmc`] — Section IV: the **Least Marginal Cost** online scheduling
 //!   policy for mixed interactive / non-interactive workloads,
 //!   implemented against the [`sched`] interface.
@@ -33,6 +35,7 @@ pub mod batch;
 pub mod deadline;
 pub mod deadline_batch;
 pub mod dominating;
+pub mod exec;
 pub mod ledger;
 pub mod lmc;
 pub mod sched;

@@ -12,12 +12,13 @@
 //! * [`Scheduler`] — the event hooks a policy implements (`on_arrival`,
 //!   `on_completion`, `on_tick`).
 //!
-//! Two executors implement the view today: the virtual-time simulator
-//! (`dvfs-sim`, where `SimView` adapts the event-driven engine) and the
-//! wall-clock service executor (`dvfs-serve`, which drives the sysfs
-//! actuator directly). Policies written against these traits run on
-//! either without modification — the layering the paper's deployment
-//! story (an online judge scheduling real submissions) requires.
+//! The workspace's executors share one implementation of the view,
+//! [`crate::exec::Engine`], which the virtual-time simulator (`dvfs-sim`)
+//! and the wall-clock service executor (`dvfs-serve`, which lands every
+//! frequency decision on the sysfs actuator) both wrap. Policies see
+//! only these traits, never the engine — the layering the paper's
+//! deployment story (an online judge scheduling real submissions)
+//! requires.
 //!
 //! Writing a new executor means implementing [`ExecutorView`] over your
 //! engine state and invoking the [`Scheduler`] hooks at the right

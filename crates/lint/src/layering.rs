@@ -7,9 +7,10 @@ use crate::Violation;
 use std::path::Path;
 
 /// `(from, to)` pairs that must not be reachable over normal deps.
-/// Policies stay engine-agnostic (core/model never see an executor),
-/// the service links the real-time executor only, and the trace event
-/// bus sits below everything: `dvfs-core -> dvfs-trace` is the only
+/// Core hosts the one event engine (`dvfs_core::exec`), and policies
+/// still see it only through `ExecutorView`; neither core nor the
+/// service may reach the simulator's experiment machinery (reports,
+/// analysis) in `dvfs-sim`. The trace event bus sits below everything: `dvfs-core -> dvfs-trace` is the only
 /// allowed edge into it, and it depends on nothing in the workspace.
 /// The reactor (`dvfs-net`) is pure transport: it knows nothing about
 /// scheduling (no edge out of it into the workspace), and only the

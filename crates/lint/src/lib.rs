@@ -29,9 +29,9 @@
 //! | `layering`         | forbidden crate edges over *normal* deps, parsed      |
 //! |                    | natively from `Cargo.toml` (no `cargo tree`)          |
 //! | `migration-protocol` | the engine migration primitives (`steal_longest`,   |
-//! |                    | `remove_ready`, `push_migrated`) appear only in the   |
-//! |                    | worker/executor modules; everything else migrates     |
-//! |                    | via `Command::Steal`/`Command::Inject`                |
+//! |                    | `remove_ready`, `push_migrated`) appear in the serve  |
+//! |                    | crate only in the worker module; everything else      |
+//! |                    | migrates via `Command::Steal`/`Command::Inject`       |
 //! | `panic`            | no `unwrap`/`expect`/panicking macro/slice-index in   |
 //! |                    | `serve/src/{protocol,server,admission}.rs` or         |
 //! |                    | anywhere in `net/src` (the reactor is wire path)      |
@@ -110,7 +110,8 @@ mod scope {
     /// into reports, plans, or actuation decisions.
     pub const DET_COLLECTIONS_DIRS: &[&str] = &["crates/core/src", "crates/model/src"];
     /// Exact files for rule D (collections/RNG) outside those dirs: the
-    /// sim engine and the serve report-merge/metrics/snapshot paths.
+    /// engine wrappers (the event engine itself lives in core) and the
+    /// serve report-merge/metrics/snapshot paths.
     pub const DET_COLLECTIONS_FILES: &[&str] = &[
         "crates/sim/src/engine.rs",
         "crates/serve/src/executor.rs",
@@ -142,10 +143,9 @@ mod scope {
     /// protocol; nothing else in the serve crate may call the engine
     /// migration primitives directly.
     pub const MIGRATION_DIRS: &[&str] = &["crates/serve/src"];
-    /// The worker owns engines (the only sound caller) and the
-    /// executor defines the primitives.
-    pub const MIGRATION_EXEMPT: &[&str] =
-        &["crates/serve/src/worker.rs", "crates/serve/src/executor.rs"];
+    /// The worker owns engines (the only sound caller). The primitives
+    /// themselves are defined in `dvfs_core::exec`, outside this scope.
+    pub const MIGRATION_EXEMPT: &[&str] = &["crates/serve/src/worker.rs"];
     /// Rule P: the wire path.
     pub const PANIC_FILES: &[&str] = &[
         "crates/serve/src/protocol.rs",

@@ -22,7 +22,7 @@
 //! * [`BatchPlan`] — per-core `(task, rate)` execution sequences: the
 //!   output of the batch algorithms, replayable by any executor.
 //! * [`TaskRecord`] — the per-task lifecycle measurement every executor
-//!   reports.
+//!   reports, and [`EventLog`] — the optional timestamped decision log.
 //!
 //! All cycle counts are exact integers (`u64`); all times are seconds and
 //! all energies joules, carried as `f64`.
@@ -32,6 +32,7 @@
 
 pub mod cost;
 pub mod error;
+pub mod eventlog;
 pub mod plan;
 pub mod platform;
 pub mod rates;
@@ -40,6 +41,7 @@ pub mod task;
 
 pub use cost::{CostBreakdown, CostParams};
 pub use error::ModelError;
+pub use eventlog::{EventLog, LogEntry, LogEvent};
 pub use plan::{predict_plan_cost, BatchPlan};
 pub use platform::{CoreId, CoreSpec, Platform};
 pub use rates::{RateIdx, RatePoint, RateTable};

@@ -62,9 +62,7 @@ pub mod stage;
 pub(crate) mod worker;
 
 pub use admission::{AdmissionPolicy, AdmissionQueue, GateOutcome, ShedReason};
-pub use executor::{
-    ActuatorKind, NoopActuator, RateActuator, RealTimeExecutor, RoundReport, SimulatedActuator,
-};
+pub use executor::{RealTimeExecutor, RoundReport, SimulatedActuator};
 pub use loadgen::{class_idx, DrainSummary, IdleSummary, LoadMode, LoadReport, StageQuantiles};
 pub use metrics::{prometheus_text, shard_metric, Counter, Gauge, Histogram, Registry};
 pub use protocol::{ErrorKind, Request, Response};

@@ -83,7 +83,7 @@
 //! stay blocked across it.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue, GateOutcome};
-use crate::executor::{ActuatorKind, RoundReport};
+use crate::executor::RoundReport;
 use crate::metrics::{shard_metric, Registry};
 use crate::protocol::{field_f64, field_u64, ErrorKind, Response};
 use crate::stage::{StageClock, StageHists, REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
@@ -165,11 +165,6 @@ pub struct SchedulerConfig {
     /// tracing entirely: no rings are allocated and the executors'
     /// record paths stay dormant.
     pub trace_capacity: usize,
-    /// Which actuator backend every shard's executor lands frequency
-    /// decisions on. `Simulated` (the default) runs the full
-    /// sysfs-protocol model and is what the bit-identical replay
-    /// contract is pinned against.
-    pub actuator: ActuatorKind,
     /// Cross-shard rebalancer, driven from the tick path. Disabled by
     /// default so drains of an untouched service replay bit-identically.
     pub rebalance: RebalanceConfig,
@@ -191,7 +186,6 @@ impl Default for SchedulerConfig {
             queue_capacity: 1024,
             shards: 1,
             trace_capacity: 0,
-            actuator: ActuatorKind::default(),
             rebalance: RebalanceConfig::default(),
             telemetry: true,
         }

@@ -78,7 +78,7 @@ impl Engine {
     /// visible in the trace but never resets the stream).
     pub fn fresh(cfg: &SchedulerConfig, ring: Option<SharedRing>) -> Self {
         let platform = service_platform(cfg.cores);
-        let mut exec = RealTimeExecutor::with_actuator(platform.clone(), cfg.actuator);
+        let mut exec = RealTimeExecutor::new(platform.clone());
         exec.set_trace_ring(ring);
         Engine {
             policy: LeastMarginalCost::new(&platform, cfg.params),
@@ -659,7 +659,7 @@ impl Worker {
     fn steal(&mut self, max: usize) -> Vec<Task> {
         let ids = {
             let Engine { exec, policy } = &mut self.engine;
-            policy.steal_longest(exec, max)
+            policy.steal_longest(&mut **exec, max)
         };
         let tasks: Vec<Task> = ids
             .iter()

@@ -6,7 +6,7 @@
 //! material for plotting and for sanity cross-checks against the
 //! engine's own accounting (the tests do exactly that).
 
-use crate::eventlog::{EventLog, LogEvent};
+use crate::{EventLog, LogEvent};
 use dvfs_model::{CoreId, RateIdx, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -155,7 +155,7 @@ pub fn write_gantt_csv<W: std::io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SimConfig, Simulator};
+    use crate::{SimConfig, Simulator};
     use dvfs_core::sched::{ExecutorView, Scheduler as Policy};
     use dvfs_model::{CoreSpec, Platform, RateTable, Task};
 

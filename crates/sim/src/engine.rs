@@ -1,155 +1,17 @@
-//! The event-driven simulation engine.
+//! The simulator: the shared event engine plus report finalisation.
 
-use crate::event::{EventKind, EventQueue};
-use crate::governor::GovernorKind;
-use crate::metrics::{SimReport, TaskRecord};
-use dvfs_core::sched::{ExecutorView, Scheduler as Policy};
-use dvfs_model::{CoreId, Platform, RateIdx, RateTable, Task, TaskId};
-use dvfs_trace::TraceSink;
-use std::collections::BTreeMap;
-
-/// Contention factor: given the number of simultaneously busy cores,
-/// return the effective speed multiplier in `(0, 1]`. `None` models an
-/// ideal (contention-free) machine. `Send + Sync` so a simulator can
-/// live behind a lock in a multi-threaded service.
-pub type ContentionFn = Box<dyn Fn(usize) -> f64 + Send + Sync>;
-
-/// Simulator configuration.
-pub struct SimConfig {
-    /// The hardware platform.
-    pub platform: Platform,
-    /// Per-core governor (defaults to `Userspace` everywhere).
-    pub governors: Vec<GovernorKind>,
-    /// Per-core cap on the usable rate index (defaults to the table max;
-    /// the Power Saving baseline lowers it).
-    pub max_allowed_rate: Vec<RateIdx>,
-    /// Optional shared-resource contention model.
-    pub contention: Option<ContentionFn>,
-    /// Record the `(time, watts)` platform power step function.
-    pub record_power_timeline: bool,
-    /// DVFS transition latency in seconds: after a frequency change the
-    /// core stalls (draws active power, executes nothing) for this long.
-    /// Real per-core DVFS transitions cost on the order of tens of
-    /// microseconds; the default 0 models the paper's idealization.
-    pub switch_latency_s: f64,
-    /// Record a decision [`crate::EventLog`] (arrivals, dispatches,
-    /// preemptions, rate changes, completions).
-    pub record_event_log: bool,
-    /// Safety valve: abort after this many processed events.
-    pub event_budget: u64,
-}
-
-impl SimConfig {
-    /// Default configuration: userspace governors, no caps, no
-    /// contention, timeline recording off.
-    #[must_use]
-    pub fn new(platform: Platform) -> Self {
-        let n = platform.num_cores();
-        let caps = (0..n)
-            .map(|j| platform.core(j).expect("in range").rates.max_rate())
-            .collect();
-        SimConfig {
-            platform,
-            governors: vec![GovernorKind::Userspace; n],
-            max_allowed_rate: caps,
-            contention: None,
-            record_power_timeline: false,
-            switch_latency_s: 0.0,
-            record_event_log: false,
-            event_budget: 2_000_000_000,
-        }
-    }
-
-    /// Use `governor` on every core.
-    #[must_use]
-    pub fn with_governor(mut self, governor: GovernorKind) -> Self {
-        self.governors = vec![governor; self.platform.num_cores()];
-        self
-    }
-
-    /// Cap every core's usable rates at `idx` (Power Saving).
-    #[must_use]
-    pub fn with_rate_cap(mut self, idx: RateIdx) -> Self {
-        for (j, cap) in self.max_allowed_rate.iter_mut().enumerate() {
-            let hw_max = self.platform.core(j).expect("in range").rates.max_rate();
-            *cap = idx.min(hw_max);
-        }
-        self
-    }
-
-    /// Install a contention model.
-    #[must_use]
-    pub fn with_contention(mut self, f: ContentionFn) -> Self {
-        self.contention = Some(f);
-        self
-    }
-
-    /// Enable power-timeline recording.
-    #[must_use]
-    pub fn with_power_timeline(mut self) -> Self {
-        self.record_power_timeline = true;
-        self
-    }
-
-    /// Enable decision logging.
-    #[must_use]
-    pub fn with_event_log(mut self) -> Self {
-        self.record_event_log = true;
-        self
-    }
-
-    /// Set the DVFS transition latency.
-    ///
-    /// # Panics
-    /// Panics when `latency` is negative or not finite.
-    #[must_use]
-    pub fn with_switch_latency(mut self, latency_s: f64) -> Self {
-        assert!(
-            latency_s.is_finite() && latency_s >= 0.0,
-            "switch latency must be finite and non-negative"
-        );
-        self.switch_latency_s = latency_s;
-        self
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    /// Known to the simulator but not yet arrived.
-    Future,
-    /// Arrived; waiting for a policy dispatch (also after preemption).
-    Ready,
-    /// Executing on the given core.
-    Running(CoreId),
-    /// Finished.
-    Done,
-}
-
-struct Job {
-    task: Task,
-    remaining: f64,
-    phase: JobPhase,
-    record: TaskRecord,
-}
-
-struct Core {
-    rate: RateIdx,
-    max_allowed: RateIdx,
-    governor: GovernorKind,
-    epoch: u64,
-    running: Option<TaskId>,
-    last_sync: f64,
-    busy_time: f64,
-    busy_at_last_tick: f64,
-    /// Busy seconds per rate index.
-    residency: Vec<f64>,
-    /// The core stalls (no execution) until this time after a DVFS
-    /// transition.
-    stall_until: f64,
-}
+use crate::metrics::SimReport;
+use dvfs_core::exec::{Engine, SimConfig};
+use dvfs_core::sched::Scheduler as Policy;
+use std::ops::{Deref, DerefMut};
 
 /// The simulation engine. Construct with [`Simulator::new`], add tasks,
 /// then [`Simulator::run`] with a policy.
+///
+/// Everything but the report lives in the shared
+/// [`dvfs_core::exec::Engine`], which the simulator dereferences to:
+/// `add_tasks`, `push_task`, `step_until`, `take_completions` and the
+/// rest are the engine's methods.
 ///
 /// ```
 /// use dvfs_core::PlanPolicy;
@@ -168,734 +30,82 @@ struct Core {
 /// assert!((report.makespan - 1.0).abs() < 1e-9);
 /// ```
 pub struct Simulator {
-    cfg: SimConfig,
-    cores: Vec<Core>,
-    jobs: BTreeMap<TaskId, Job>,
-    queue: EventQueue,
-    now: f64,
-    done: usize,
-    total: usize,
-    active_energy: f64,
-    power_timeline: Vec<(f64, f64)>,
-    last_completion: f64,
-    event_log: crate::EventLog,
-    /// Whether governor ticks have been primed (first run/step).
-    started: bool,
-    /// Incremental mode: tasks may keep arriving via [`Simulator::push_task`],
-    /// so periodic governors re-arm even when the current backlog drains.
-    incremental: bool,
-    /// Events processed so far (budget accounting across steps).
-    processed: u64,
-    /// Completions since the last [`Simulator::take_completions`] drain.
-    fresh_completions: Vec<TaskId>,
-    /// Optional lifecycle trace sink (see `dvfs-trace`). Events are
-    /// timestamped with simulation seconds only, so drained traces are
-    /// bit-identical across runs.
-    trace: Option<Box<dyn TraceSink>>,
+    engine: Engine,
 }
 
 impl Simulator {
     /// Build a simulator from a configuration.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        let cores = (0..cfg.platform.num_cores())
-            .map(|j| {
-                let gov = cfg.governors[j];
-                let start_rate = match gov {
-                    GovernorKind::Performance => cfg.max_allowed_rate[j],
-                    // An idle machine settles at the lowest level under
-                    // the demand-driven governors; start there.
-                    GovernorKind::OnDemand { .. } | GovernorKind::Conservative { .. } => 0,
-                    GovernorKind::Userspace => 0,
-                };
-                let nrates = cfg.platform.core(j).expect("in range").rates.len();
-                Core {
-                    rate: start_rate,
-                    max_allowed: cfg.max_allowed_rate[j],
-                    governor: gov,
-                    epoch: 0,
-                    running: None,
-                    last_sync: 0.0,
-                    busy_time: 0.0,
-                    busy_at_last_tick: 0.0,
-                    residency: vec![0.0; nrates],
-                    stall_until: 0.0,
-                }
-            })
-            .collect();
         Simulator {
-            cores,
-            jobs: BTreeMap::new(),
-            queue: EventQueue::new(),
-            now: 0.0,
-            done: 0,
-            total: 0,
-            active_energy: 0.0,
-            power_timeline: Vec::new(),
-            last_completion: 0.0,
-            event_log: crate::EventLog::default(),
-            started: false,
-            incremental: false,
-            processed: 0,
-            fresh_completions: Vec::new(),
-            trace: None,
-            cfg,
-        }
-    }
-
-    fn log(&mut self, event: crate::LogEvent) {
-        if self.cfg.record_event_log {
-            self.event_log.push(self.now, event);
-        }
-    }
-
-    /// Attach (or detach, with `None`) a lifecycle trace sink. The
-    /// engine records dispatch / preempt / rate-change / complete
-    /// events into it; policies reach the same sink through
-    /// [`ExecutorView::trace`] to add decision provenance.
-    pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
-        self.trace = sink;
-    }
-
-    /// Take the attached trace sink back out (e.g. to drain a ring).
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
-    }
-
-    fn trace_record(&mut self, kind: dvfs_trace::EventKind) {
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(self.now, kind);
-        }
-    }
-
-    /// Register tasks; each arrives at its `Task::arrival` time.
-    ///
-    /// # Panics
-    /// Panics on duplicate task ids.
-    pub fn add_tasks(&mut self, tasks: &[Task]) {
-        for t in tasks {
-            let prev = self.jobs.insert(
-                t.id,
-                Job {
-                    task: t.clone(),
-                    remaining: t.cycles as f64,
-                    phase: JobPhase::Future,
-                    record: TaskRecord {
-                        id: t.id,
-                        class: t.class,
-                        cycles: t.cycles,
-                        arrival: t.arrival,
-                        first_start: None,
-                        completion: None,
-                        energy_joules: 0.0,
-                        preemptions: 0,
-                    },
-                },
-            );
-            assert!(prev.is_none(), "duplicate task id {}", t.id);
-            self.queue
-                .push(t.arrival, EventKind::Arrival { task: t.id });
-            self.total += 1;
-        }
-    }
-
-    fn busy_count(&self) -> usize {
-        self.cores.iter().filter(|c| c.running.is_some()).count()
-    }
-
-    fn contention_factor(&self, busy: usize) -> f64 {
-        match &self.cfg.contention {
-            Some(f) => {
-                let v = f(busy);
-                debug_assert!(v > 0.0 && v <= 1.0, "contention factor out of (0,1]");
-                v
-            }
-            None => 1.0,
-        }
-    }
-
-    fn rate_table(&self, j: CoreId) -> &RateTable {
-        &self.cfg.platform.core(j).expect("core in range").rates
-    }
-
-    /// Advance all cores' progress/energy accounting to `self.now`.
-    fn sync_all(&mut self) {
-        let factor = self.contention_factor(self.busy_count());
-        for j in 0..self.cores.len() {
-            let dt = self.now - self.cores[j].last_sync;
-            debug_assert!(dt >= -1e-9, "time went backwards on core {j}");
-            if dt > 0.0 {
-                if let Some(tid) = self.cores[j].running {
-                    let rp = self.rate_table(j).rate(self.cores[j].rate);
-                    // Execution speed follows the model's T(p), which the
-                    // paper publishes with rounding (Table II), rather
-                    // than the nominal frequency: Equation 2 is the
-                    // ground truth for t_k = L_k * T(p). A core stalled
-                    // by a DVFS transition draws power but makes no
-                    // progress until stall_until.
-                    let exec_dt = (self.now
-                        - self.cores[j].stall_until.max(self.cores[j].last_sync))
-                    .clamp(0.0, dt);
-                    let cycles_done = (1.0 / rp.time_per_cycle) * factor * exec_dt;
-                    let energy = rp.active_power_watts() * dt;
-                    let job = self.jobs.get_mut(&tid).expect("running job exists");
-                    job.remaining -= cycles_done;
-                    job.record.energy_joules += energy;
-                    self.active_energy += energy;
-                    self.cores[j].busy_time += dt;
-                    let rate = self.cores[j].rate;
-                    self.cores[j].residency[rate] += dt;
-                }
-            }
-            self.cores[j].last_sync = self.now;
-        }
-    }
-
-    /// Total active power right now, in watts.
-    fn total_active_power(&self) -> f64 {
-        (0..self.cores.len())
-            .filter(|&j| self.cores[j].running.is_some())
-            .map(|j| {
-                self.rate_table(j)
-                    .rate(self.cores[j].rate)
-                    .active_power_watts()
-            })
-            .sum()
-    }
-
-    fn record_power_point(&mut self) {
-        if self.cfg.record_power_timeline {
-            let w = self.total_active_power();
-            self.power_timeline.push((self.now, w));
-        }
-    }
-
-    /// Reschedule the completion event of core `j` (if busy) based on the
-    /// current rate and contention.
-    fn reschedule(&mut self, j: CoreId) {
-        self.cores[j].epoch += 1;
-        if let Some(tid) = self.cores[j].running {
-            let remaining = self.jobs[&tid].remaining.max(0.0);
-            let rp = self.rate_table(j).rate(self.cores[j].rate);
-            let eff = (1.0 / rp.time_per_cycle) * self.contention_factor(self.busy_count());
-            let stall = (self.cores[j].stall_until - self.now).max(0.0);
-            let t_fin = self.now + stall + remaining / eff;
-            self.queue.push(
-                t_fin,
-                EventKind::Completion {
-                    core: j,
-                    epoch: self.cores[j].epoch,
-                },
-            );
-        }
-    }
-
-    /// Reschedule completions after a change that may alter effective
-    /// speeds: the mutated core always, every busy core when contention
-    /// is active (the busy count moved).
-    fn reschedule_after_mutation(&mut self, mutated: CoreId) {
-        if self.cfg.contention.is_some() {
-            for j in 0..self.cores.len() {
-                if j == mutated || self.cores[j].running.is_some() {
-                    self.reschedule(j);
-                }
-            }
-        } else {
-            self.reschedule(mutated);
-        }
-        self.record_power_point();
-    }
-
-    /// Prime periodic governor ticks; idempotent across run/step calls.
-    fn start_ticks(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for j in 0..self.cores.len() {
-            if let Some(p) = self.cores[j].governor.period() {
-                self.queue.push(p, EventKind::GovernorTick { core: j });
-            }
-        }
-    }
-
-    /// Process one event against the policy.
-    fn process_event(&mut self, policy: &mut dyn Policy, ev: crate::event::Event) {
-        self.processed += 1;
-        assert!(
-            self.processed <= self.cfg.event_budget,
-            "event budget exceeded: likely a policy/governor livelock"
-        );
-        debug_assert!(ev.time >= self.now - 1e-9, "event time precedes now");
-        self.now = self.now.max(ev.time);
-        match ev.kind {
-            EventKind::Arrival { task } => {
-                self.sync_all();
-                let job = self.jobs.get_mut(&task).expect("arrival for known task");
-                debug_assert_eq!(job.phase, JobPhase::Future);
-                job.phase = JobPhase::Ready;
-                let t = job.task.clone();
-                self.log(crate::LogEvent::Arrival { task: t.id });
-                policy.on_arrival(&mut SimView { sim: self }, &t);
-            }
-            EventKind::Completion { core, epoch } => {
-                if self.cores[core].epoch != epoch {
-                    return; // stale
-                }
-                self.sync_all();
-                let tid = self.cores[core]
-                    .running
-                    .expect("valid completion implies a running task");
-                {
-                    let job = self.jobs.get_mut(&tid).expect("job exists");
-                    debug_assert!(
-                        job.remaining.abs() < 1.0,
-                        "completion fired with {} cycles left",
-                        job.remaining
-                    );
-                    job.remaining = 0.0;
-                    job.phase = JobPhase::Done;
-                    job.record.completion = Some(self.now);
-                }
-                self.cores[core].running = None;
-                self.done += 1;
-                self.last_completion = self.now;
-                self.fresh_completions.push(tid);
-                self.log(crate::LogEvent::Completion { core, task: tid });
-                if self.trace.is_some() {
-                    let rec = self.jobs[&tid].record;
-                    self.trace_record(dvfs_trace::EventKind::Complete {
-                        task: tid.0,
-                        core: core as u32,
-                        energy_j: rec.energy_joules,
-                        turnaround_s: self.now - rec.arrival,
-                    });
-                }
-                self.reschedule_after_mutation(core);
-                let t = self.jobs[&tid].task.clone();
-                policy.on_completion(&mut SimView { sim: self }, core, &t);
-            }
-            EventKind::GovernorTick { core } => {
-                self.sync_all();
-                let c = &self.cores[core];
-                let period = c.governor.period().expect("tick implies periodic governor");
-                let load = ((c.busy_time - c.busy_at_last_tick) / period).clamp(0.0, 1.0);
-                let next = c.governor.next_rate(load, c.rate, c.max_allowed);
-                self.cores[core].busy_at_last_tick = self.cores[core].busy_time;
-                if next != self.cores[core].rate {
-                    let from = self.cores[core].rate;
-                    self.cores[core].rate = next;
-                    if self.cfg.switch_latency_s > 0.0 {
-                        self.cores[core].stall_until = self.now + self.cfg.switch_latency_s;
-                    }
-                    self.log(crate::LogEvent::RateChange {
-                        core,
-                        from,
-                        to: next,
-                    });
-                    self.trace_record(dvfs_trace::EventKind::RateChange {
-                        core: core as u32,
-                        from: from as u32,
-                        to: next as u32,
-                    });
-                    self.reschedule_after_mutation(core);
-                }
-                if self.done < self.total || self.incremental {
-                    self.queue
-                        .push(self.now + period, EventKind::GovernorTick { core });
-                }
-                policy.on_tick(&mut SimView { sim: self }, core);
-            }
+            engine: Engine::new(cfg),
         }
     }
 
     /// Run the simulation to completion and report.
     ///
-    /// In incremental mode (after [`Simulator::push_task`] /
-    /// [`Simulator::step_until`]) this drains the remaining backlog —
-    /// the natural "graceful shutdown" path for a service.
+    /// In incremental mode (after `push_task` / `step_until`) this
+    /// drains the remaining backlog — the natural "graceful shutdown"
+    /// path for a service.
     ///
     /// # Panics
     /// Panics when the event queue drains while tasks remain unfinished
     /// (the policy failed to dispatch them), or when the event budget is
     /// exceeded.
     pub fn run(&mut self, policy: &mut dyn Policy) -> SimReport {
-        self.start_ticks();
-        while self.done < self.total {
-            let ev = self.queue.pop().unwrap_or_else(|| {
-                panic!(
-                    "event queue drained with {} of {} tasks unfinished: the policy \
-                     failed to dispatch them",
-                    self.total - self.done,
-                    self.total
-                )
-            });
-            self.process_event(policy, ev);
-        }
-        self.finalize(policy.name())
-    }
-
-    /// Register one task while the simulation is (possibly) underway:
-    /// the arrival fires at `task.arrival` or now, whichever is later.
-    /// Switches the simulator into incremental mode.
-    ///
-    /// # Panics
-    /// Panics on a duplicate task id.
-    pub fn push_task(&mut self, task: &Task) {
-        self.incremental = true;
-        let arrival = task.arrival.max(self.now);
-        let prev = self.jobs.insert(
-            task.id,
-            Job {
-                task: task.clone(),
-                remaining: task.cycles as f64,
-                phase: JobPhase::Future,
-                record: TaskRecord {
-                    id: task.id,
-                    class: task.class,
-                    cycles: task.cycles,
-                    arrival,
-                    first_start: None,
-                    completion: None,
-                    energy_joules: 0.0,
-                    preemptions: 0,
-                },
-            },
-        );
-        assert!(prev.is_none(), "duplicate task id {}", task.id);
-        self.queue
-            .push(arrival, EventKind::Arrival { task: task.id });
-        self.total += 1;
-    }
-
-    /// Advance the simulation clock to `t`, processing every event due
-    /// at or before it. Time then rests exactly at `t` (cores idle or
-    /// mid-task), ready for more [`Simulator::push_task`] calls — the
-    /// paced-real-time driver of a long-running service.
-    ///
-    /// # Panics
-    /// Panics when `t` is not finite or precedes the current time by
-    /// more than rounding error, or when the event budget is exceeded.
-    pub fn step_until(&mut self, policy: &mut dyn Policy, t: f64) {
-        assert!(t.is_finite(), "step_until: time must be finite");
-        assert!(
-            t >= self.now - 1e-9,
-            "step_until: t={t} precedes now={}",
-            self.now
-        );
-        self.incremental = true;
-        self.start_ticks();
-        while self.queue.peek().is_some_and(|ev| ev.time <= t) {
-            let ev = self.queue.pop().expect("peeked");
-            self.process_event(policy, ev);
-        }
-        self.now = self.now.max(t);
-        self.sync_all();
-    }
-
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Tasks registered but not yet completed.
-    #[must_use]
-    pub fn pending_tasks(&self) -> usize {
-        self.total - self.done
-    }
-
-    /// Drain the records of tasks completed since the previous drain
-    /// (completion order).
-    pub fn take_completions(&mut self) -> Vec<TaskRecord> {
-        std::mem::take(&mut self.fresh_completions)
-            .into_iter()
-            .map(|tid| self.jobs[&tid].record)
-            .collect()
-    }
-
-    /// The decision log accumulated so far (empty unless
-    /// [`SimConfig::with_event_log`]). Incremental drivers can diff
-    /// this between steps to mirror rate changes onto an actuator.
-    #[must_use]
-    pub fn event_log(&self) -> &crate::EventLog {
-        &self.event_log
+        self.engine.run_to_completion(policy);
+        self.report(policy.name())
     }
 
     /// Snapshot a report of everything simulated so far without
-    /// consuming the simulator (the timeline, busy counters, and event
-    /// log move out; incremental callers should treat this as final).
-    pub fn report(&mut self, policy_name: String) -> SimReport {
-        self.finalize(policy_name)
-    }
-
-    fn finalize(&mut self, policy: String) -> SimReport {
-        self.sync_all();
-        let makespan = self.last_completion;
-        let idle_energy: f64 = (0..self.cores.len())
+    /// consuming the simulator (the timeline and event log move out;
+    /// incremental callers should treat this as final).
+    pub fn report(&mut self, policy: String) -> SimReport {
+        let e = &mut self.engine;
+        let makespan = e.last_completion();
+        let platform = &e.config().platform;
+        let cores = 0..platform.num_cores();
+        let idle_energy_joules = cores
+            .clone()
             .map(|j| {
-                let idle = (makespan - self.cores[j].busy_time).max(0.0);
-                self.cfg
-                    .platform
-                    .core(j)
-                    .expect("in range")
-                    .idle_power_watts
-                    * idle
+                let idle = (makespan - e.core_busy(j)).max(0.0);
+                platform.core(j).expect("in range").idle_power_watts * idle
             })
             .sum();
         SimReport {
             policy,
-            tasks: self
-                .jobs
-                .iter()
-                .map(|(id, job)| (*id, job.record))
-                .collect(),
-            active_energy_joules: self.active_energy,
-            idle_energy_joules: idle_energy,
+            tasks: e.records().map(|r| (r.id, *r)).collect(),
+            active_energy_joules: e.active_energy(),
+            idle_energy_joules,
             makespan,
-            power_timeline: std::mem::take(&mut self.power_timeline),
-            core_busy: self.cores.iter().map(|c| c.busy_time).collect(),
-            rate_residency: self.cores.iter().map(|c| c.residency.clone()).collect(),
-            event_log: std::mem::take(&mut self.event_log),
+            core_busy: cores.clone().map(|j| e.core_busy(j)).collect(),
+            rate_residency: cores.map(|j| e.rate_residency(j).to_vec()).collect(),
+            power_timeline: e.take_power_timeline(),
+            event_log: e.take_event_log(),
         }
     }
 }
 
-/// The mutable window a [`Policy`] gets into the simulation: the
-/// virtual-time implementation of the engine-agnostic
-/// [`ExecutorView`]. Policies written against the trait run unchanged
-/// on any other executor (e.g. the wall-clock one in `dvfs-serve`).
-pub struct SimView<'a> {
-    sim: &'a mut Simulator,
-}
+impl Deref for Simulator {
+    type Target = Engine;
 
-impl ExecutorView for SimView<'_> {
-    fn now(&self) -> f64 {
-        SimView::now(self)
-    }
-    fn num_cores(&self) -> usize {
-        SimView::num_cores(self)
-    }
-    fn rate_table(&self, j: CoreId) -> &RateTable {
-        SimView::rate_table(self, j)
-    }
-    fn max_allowed_rate(&self, j: CoreId) -> RateIdx {
-        SimView::max_allowed_rate(self, j)
-    }
-    fn current_rate(&self, j: CoreId) -> RateIdx {
-        SimView::current_rate(self, j)
-    }
-    fn running_task(&self, j: CoreId) -> Option<TaskId> {
-        SimView::running_task(self, j)
-    }
-    fn is_idle(&self, j: CoreId) -> bool {
-        SimView::is_idle(self, j)
-    }
-    fn remaining_cycles(&self, t: TaskId) -> f64 {
-        SimView::remaining_cycles(self, t)
-    }
-    fn set_rate(&mut self, j: CoreId, rate: RateIdx) {
-        SimView::set_rate(self, j, rate);
-    }
-    fn dispatch(&mut self, j: CoreId, task: TaskId, rate: Option<RateIdx>) {
-        SimView::dispatch(self, j, task, rate);
-    }
-    fn preempt(&mut self, j: CoreId) -> TaskId {
-        SimView::preempt(self, j)
-    }
-    fn trace(&mut self) -> Option<&mut dyn TraceSink> {
-        self.sim
-            .trace
-            .as_mut()
-            .map(|s| s.as_mut() as &mut dyn TraceSink)
+    fn deref(&self) -> &Engine {
+        &self.engine
     }
 }
 
-impl SimView<'_> {
-    /// Current simulation time in seconds.
-    #[must_use]
-    pub fn now(&self) -> f64 {
-        self.sim.now
-    }
-
-    /// Number of cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.sim.cores.len()
-    }
-
-    /// The rate table of core `j`.
-    ///
-    /// # Panics
-    /// Panics when `j` is out of range.
-    #[must_use]
-    pub fn rate_table(&self, j: CoreId) -> &RateTable {
-        self.sim.rate_table(j)
-    }
-
-    /// Highest rate index the core is allowed to use.
-    #[must_use]
-    pub fn max_allowed_rate(&self, j: CoreId) -> RateIdx {
-        self.sim.cores[j].max_allowed
-    }
-
-    /// Current rate index of core `j`.
-    #[must_use]
-    pub fn current_rate(&self, j: CoreId) -> RateIdx {
-        self.sim.cores[j].rate
-    }
-
-    /// Task currently running on core `j`.
-    #[must_use]
-    pub fn running_task(&self, j: CoreId) -> Option<TaskId> {
-        self.sim.cores[j].running
-    }
-
-    /// Whether core `j` has no running task.
-    #[must_use]
-    pub fn is_idle(&self, j: CoreId) -> bool {
-        self.sim.cores[j].running.is_none()
-    }
-
-    /// Remaining cycles of a task (full cycles if it never ran).
-    ///
-    /// # Panics
-    /// Panics for an unknown task id.
-    #[must_use]
-    pub fn remaining_cycles(&self, t: TaskId) -> f64 {
-        self.sim.jobs[&t].remaining.max(0.0)
-    }
-
-    /// The immutable task definition.
-    ///
-    /// # Panics
-    /// Panics for an unknown task id.
-    #[must_use]
-    pub fn task(&self, t: TaskId) -> &Task {
-        &self.sim.jobs[&t].task
-    }
-
-    /// Set the frequency of core `j` (userspace control). Takes effect
-    /// immediately; an in-flight task simply proceeds at the new speed,
-    /// as per-core DVFS allows in the online mode.
-    ///
-    /// # Panics
-    /// Panics when the rate exceeds the core's allowed cap.
-    pub fn set_rate(&mut self, j: CoreId, rate: RateIdx) {
-        assert!(
-            rate <= self.sim.cores[j].max_allowed,
-            "rate {rate} above allowed cap {} on core {j}",
-            self.sim.cores[j].max_allowed
-        );
-        if self.sim.cores[j].rate == rate {
-            return;
-        }
-        self.sim.sync_all();
-        let from = self.sim.cores[j].rate;
-        self.sim.cores[j].rate = rate;
-        if self.sim.cfg.switch_latency_s > 0.0 {
-            self.sim.cores[j].stall_until = self.sim.now + self.sim.cfg.switch_latency_s;
-        }
-        self.sim.log(crate::LogEvent::RateChange {
-            core: j,
-            from,
-            to: rate,
-        });
-        self.sim.trace_record(dvfs_trace::EventKind::RateChange {
-            core: j as u32,
-            from: from as u32,
-            to: rate as u32,
-        });
-        self.sim.reschedule_after_mutation(j);
-    }
-
-    /// Start `task` on idle core `j`, optionally setting the rate first.
-    ///
-    /// # Panics
-    /// Panics when the core is busy, the task is not ready (not yet
-    /// arrived, already running, or done), or the rate is above the cap.
-    pub fn dispatch(&mut self, j: CoreId, task: TaskId, rate: Option<RateIdx>) {
-        assert!(
-            self.sim.cores[j].running.is_none(),
-            "dispatch onto busy core {j}"
-        );
-        self.sim.sync_all();
-        if let Some(r) = rate {
-            assert!(
-                r <= self.sim.cores[j].max_allowed,
-                "rate {r} above allowed cap on core {j}"
-            );
-            if r != self.sim.cores[j].rate && self.sim.cfg.switch_latency_s > 0.0 {
-                self.sim.cores[j].stall_until = self.sim.now + self.sim.cfg.switch_latency_s;
-            }
-            self.sim.cores[j].rate = r;
-        }
-        let now = self.sim.now;
-        let job = self.sim.jobs.get_mut(&task).expect("dispatch unknown task");
-        assert_eq!(
-            job.phase,
-            JobPhase::Ready,
-            "task {task} not ready for dispatch"
-        );
-        job.phase = JobPhase::Running(j);
-        if job.record.first_start.is_none() {
-            job.record.first_start = Some(now);
-        }
-        self.sim.cores[j].running = Some(task);
-        let rate_now = self.sim.cores[j].rate;
-        self.sim.log(crate::LogEvent::Dispatch {
-            core: j,
-            task,
-            rate: rate_now,
-        });
-        if self.sim.trace.is_some() {
-            // Mirror `reschedule`'s exact arithmetic so the predicted
-            // energy is bit-comparable with the measured accrual when a
-            // dispatch runs in one uninterrupted slice.
-            let remaining = self.sim.jobs[&task].remaining.max(0.0);
-            let rp = self.sim.rate_table(j).rate(rate_now);
-            let eff = (1.0 / rp.time_per_cycle) * self.sim.contention_factor(self.sim.busy_count());
-            let stall = (self.sim.cores[j].stall_until - self.sim.now).max(0.0);
-            let predicted_time_s = stall + remaining / eff;
-            let predicted_energy_j = rp.active_power_watts() * predicted_time_s;
-            self.sim.trace_record(dvfs_trace::EventKind::Dispatch {
-                task: task.0,
-                core: j as u32,
-                rate: rate_now as u32,
-                predicted_energy_j,
-                predicted_time_s,
-            });
-        }
-        self.sim.reschedule_after_mutation(j);
-    }
-
-    /// Preempt the task running on core `j`, returning its id. Progress
-    /// is preserved; the task becomes ready for a later dispatch.
-    ///
-    /// # Panics
-    /// Panics when the core is idle.
-    pub fn preempt(&mut self, j: CoreId) -> TaskId {
-        let tid = self.sim.cores[j].running.expect("preempt on an idle core");
-        self.sim.sync_all();
-        let job = self.sim.jobs.get_mut(&tid).expect("job exists");
-        job.phase = JobPhase::Ready;
-        job.record.preemptions += 1;
-        self.sim.cores[j].running = None;
-        self.sim
-            .log(crate::LogEvent::Preempt { core: j, task: tid });
-        self.sim.trace_record(dvfs_trace::EventKind::Preempt {
-            task: tid.0,
-            core: j as u32,
-        });
-        self.sim.reschedule_after_mutation(j);
-        tid
+impl DerefMut for Simulator {
+    fn deref_mut(&mut self) -> &mut Engine {
+        &mut self.engine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvfs_model::{CoreSpec, TaskClass};
+    use dvfs_core::exec::GovernorKind;
+    use dvfs_core::sched::ExecutorView;
+    use dvfs_model::{CoreId, CoreSpec, Platform, RateIdx, RateTable, Task, TaskClass, TaskId};
 
     /// Runs every batch task on core 0 at a fixed rate, FIFO.
     struct Fifo {

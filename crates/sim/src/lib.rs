@@ -10,9 +10,9 @@
 //!   `p` cycles per second and drawing `E(p)/T(p)` watts while busy;
 //! * a [`Policy`] — the engine-agnostic `dvfs_core::sched::Scheduler`
 //!   trait — decides task placement, ordering, preemption, and per-core
-//!   frequency through the abstract `ExecutorView`, which [`SimView`]
-//!   implements here (the paper's schedulers and baselines are written
-//!   against the trait and also run on the wall-clock executor in
+//!   frequency through the abstract `ExecutorView`, which the shared
+//!   event engine `dvfs_core::exec::Engine` implements (the same engine,
+//!   and so the same policies, run the wall-clock executor in
 //!   `dvfs-serve`);
 //! * frequency *governors* (Linux `ondemand`-style) can own a core's
 //!   frequency instead of the policy, for the baseline comparisons;
@@ -22,29 +22,21 @@
 //!   platform power timeline that `dvfs-power` can "measure" the way the
 //!   paper's DW-6091 power meter does.
 //!
-//! ## Execution semantics
-//!
-//! Progress is tracked in continuous cycles: a core at frequency `f` with
-//! contention factor `s ∈ (0, 1]` completes `f·s` cycles of the running
-//! task per second. Completion events carry a per-core *epoch*; any
-//! mutation (dispatch, preemption, rate change, contention change)
-//! invalidates outstanding completions by bumping the epoch, so stale
-//! events are discarded when popped.
+//! The execution semantics (continuous cycle progress, completion
+//! epochs, event order) are documented on `dvfs_core::exec`. This crate
+//! adds the [`Simulator`] wrapper that finalises a run into a
+//! [`SimReport`], and the offline [`analysis`] of its decision log.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod engine;
-pub mod event;
-pub mod eventlog;
-pub mod governor;
 pub mod metrics;
 
 pub use analysis::{gantt, queue_depth_series, GanttSegment};
-pub use engine::{SimConfig, SimView, Simulator};
-pub use eventlog::{EventLog, LogEntry, LogEvent};
-pub use governor::GovernorKind;
+pub use dvfs_core::exec::{EventLog, GovernorKind, LogEntry, LogEvent, SimConfig};
+pub use engine::Simulator;
 pub use metrics::{SimReport, TaskRecord};
 
 /// The engine-agnostic policy trait this executor drives. An alias for

@@ -75,7 +75,8 @@ run cargo test -q -p dvfs-bench --test trace_overhead -- --ignored
 # Health-plane overhead smoke: the same drain workload with per-request
 # stage telemetry off and on, back-to-back per rep, best pairwise
 # ratio gated at 5% and against the committed ratio in
-# BENCH_health_overhead.json (then refreshed). A miss means per-task
+# BENCH_health_overhead.json, which the run only reads (its own numbers
+# go under the target dir). A miss means per-task
 # work crept onto the submit or completion hot path (stage records are
 # batched per worker round by design).
 run cargo test -q -p dvfs-bench --test health_overhead -- --ignored
@@ -84,20 +85,23 @@ run cargo test -q -p dvfs-bench --test health_overhead -- --ignored
 # connections while a small active set submits. Gates per-connection
 # RSS and p99 submit latency against the committed BENCH_net_10k.json
 # (generous bounds — a tripwire for complexity regressions, not a
-# benchmark), then refreshes the file with this run's numbers.
+# benchmark). The committed file is only read; the run's numbers go
+# under the target dir.
 run cargo test -q -p dvfs-bench --test net_10k -- --ignored
 
 # Parallelism smoke: the same task set drained at 1 shard vs 4 shards.
 # On a >=4-core host the 4-shard drain must be at least 2x faster
 # (shard workers genuinely run concurrently); on smaller hosts the run
-# is informational. Numbers land in BENCH_parallel.json.
+# is informational. Numbers land in BENCH_parallel.json under the
+# target dir; the committed file is never rewritten.
 run cargo test -q -p dvfs-bench --test parallel_drain -- --ignored
 
 # Rebalancer smoke: a workload pinned to one shard of four, replayed
 # with the cross-shard rebalancer off and on. Deterministic (replay
 # never reads the wall clock): migrations must happen and the merged
 # Eq. 27 cost must beat the skewed run, within a loose factor of the
-# committed improvement in BENCH_rebalance.json (then refreshed).
+# committed improvement in BENCH_rebalance.json, which the run only
+# reads (its own numbers go under the target dir).
 run cargo test -q -p dvfs-bench --test rebalance -- --ignored
 
 # Sanitizer stage (gated, never tier-1): when a nightly toolchain with
