@@ -5,7 +5,8 @@ use dvfs_baselines::{OlbOnline, OnDemandOnline};
 use dvfs_core::{schedule_wbg, DominatingRanges, LeastMarginalCost, WbgReassign};
 use dvfs_model::task::batch_workload;
 use dvfs_model::{CostParams, Platform, RateTable};
-use dvfs_sim::{GovernorKind, SimConfig, SimReport, Simulator};
+use dvfs_sim::{GovernorKind, Policy, SimConfig, SimReport, Simulator};
+use dvfs_trace::SharedRing;
 use dvfs_workloads::judge::TraceStats;
 use dvfs_workloads::JudgeTraceConfig;
 
@@ -19,7 +20,8 @@ USAGE:
   dvfs-sched schedule-batch --cycles L1,L2,... [--cores N] [--re X] [--rt Y]
   dvfs-sched simulate --trace FILE --policy lmc|wbg|olb|ondemand
              [--cores N] [--re X] [--rt Y] [--report FILE] [--log FILE]
-  dvfs-sched analyze --report FILE [--gantt FILE.csv] [--queue FILE.csv]
+  dvfs-sched analyze --report FILE [--log FILE] [--gantt FILE.csv]
+             [--queue FILE.csv]
   dvfs-sched ranges [--re X] [--rt Y]
   dvfs-sched serve (--socket PATH | --tcp ADDR) [--mode replay|paced]
              [--speed X] [--cores N] [--shards N] [--re X] [--rt Y]
@@ -40,7 +42,9 @@ Cost parameters default to the paper's: batch Re=0.1 Rt=0.4 for
 schedule-batch/ranges, online Re=0.4 Rt=0.1 for simulate/serve.
 `serve --trace-cap N` enables per-shard lifecycle tracing (ring of N
 events per shard); `--trace-out` mirrors the drained trace to a JSONL
-file. `trace-export` converts that JSONL into Chrome trace_event JSON
+file; `simulate --log` writes the simulated run's trace in the same
+JSONL, which `analyze --log` reads for Gantt and queue-depth CSVs.
+`trace-export` converts that JSONL into Chrome trace_event JSON
 loadable in Perfetto (ui.perfetto.dev). `loadgen --max-shed F` exits
 nonzero when the shed ratio exceeds F. `serve --net reactor` swaps
 the thread-per-connection front-end for the single-threaded epoll
@@ -193,37 +197,29 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         return Err("trace is empty".into());
     }
 
-    let want_log = args.get("log").is_some();
-    let mk_cfg = |cfg: SimConfig| if want_log { cfg.with_event_log() } else { cfg };
-    let report: SimReport = match policy_name.as_str() {
-        "lmc" => {
-            let mut p = LeastMarginalCost::new(&platform, params);
-            let mut sim = Simulator::new(mk_cfg(SimConfig::new(platform.clone())));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
-        }
-        "wbg" => {
-            let mut p = WbgReassign::new(&platform, params);
-            let mut sim = Simulator::new(mk_cfg(SimConfig::new(platform.clone())));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
-        }
-        "olb" => {
-            let mut p = OlbOnline::new(platform.num_cores());
-            let mut sim = Simulator::new(mk_cfg(SimConfig::new(platform.clone())));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
-        }
+    let mut cfg = SimConfig::new(platform.clone());
+    let mut policy: Box<dyn Policy> = match policy_name.as_str() {
+        "lmc" => Box::new(LeastMarginalCost::new(&platform, params)),
+        "wbg" => Box::new(WbgReassign::new(&platform, params)),
+        "olb" => Box::new(OlbOnline::new(platform.num_cores())),
         "ondemand" => {
-            let mut p = OnDemandOnline::new(platform.num_cores());
-            let mut sim = Simulator::new(mk_cfg(
-                SimConfig::new(platform.clone()).with_governor(GovernorKind::ondemand_paper()),
-            ));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
+            cfg = cfg.with_governor(GovernorKind::ondemand_paper());
+            Box::new(OnDemandOnline::new(platform.num_cores()))
         }
         other => return Err(format!("unknown policy `{other}` (lmc|wbg|olb|ondemand)")),
     };
+    let mut sim = Simulator::new(cfg);
+    // `--log` records the run's lifecycle trace into a ring that never
+    // overwrites: the same events, in the same JSONL, that `serve
+    // --trace-out` writes.
+    let log = args
+        .get("log")
+        .map(|path| (path, SharedRing::new(0, usize::MAX)));
+    if let Some((_, ring)) = &log {
+        sim.set_trace_sink(Some(Box::new(ring.clone())));
+    }
+    sim.add_tasks(&trace);
+    let report = sim.run(policy.as_mut());
 
     let cost = report.cost(params);
     println!("policy          : {}", report.policy);
@@ -242,17 +238,16 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         println!("full report written to {path}");
     }
-    if let Some(path) = args.get("log") {
-        let mut lines = String::new();
-        for entry in &report.event_log.entries {
-            lines.push_str(&serde_json::to_string(entry).map_err(|e| e.to_string())?);
-            lines.push('\n');
+    if let Some((path, ring)) = log {
+        if ring.dropped() != 0 {
+            return Err(format!("trace ring dropped {} events", ring.dropped()));
         }
-        std::fs::write(path, lines).map_err(|e| e.to_string())?;
+        let events = ring.drain();
+        std::fs::write(path, dvfs_trace::export::to_jsonl(&events)).map_err(|e| e.to_string())?;
         println!(
-            "decision log ({} entries, {} rate changes) written to {path}",
-            report.event_log.len(),
-            report.event_log.rate_changes()
+            "lifecycle trace ({} events, {} rate changes) written to {path}",
+            events.len(),
+            dvfs_sim::rate_changes(&events)
         );
     }
     Ok(())
@@ -279,18 +274,23 @@ fn analyze(argv: &[String]) -> Result<(), String> {
             .unwrap_or_else(|| "idle".to_string());
         println!("core {j}  : busy {busy:.1} s  [{residency}]");
     }
-    if report.event_log.is_empty() {
-        println!("no decision log embedded — run `simulate` with `--log` to enable recording");
+    let Some(log_path) = args.get("log") else {
+        if args.get("gantt").is_some() || args.get("queue").is_some() {
+            return Err("`--gantt` and `--queue` need the run's `--log FILE`".into());
+        }
+        println!("no trace given — pass the `--log FILE` that `simulate --log` wrote");
         return Ok(());
-    }
-    let segments = dvfs_sim::gantt(&report.event_log);
-    let depth = dvfs_sim::queue_depth_series(&report.event_log);
+    };
+    let text = std::fs::read_to_string(log_path).map_err(|e| e.to_string())?;
+    let events = dvfs_trace::export::parse_jsonl(&text).map_err(|e| e.to_string())?;
+    let segments = dvfs_sim::gantt(&events);
+    let depth = dvfs_sim::queue_depth_series(&events, report.tasks.values());
     let max_depth = depth.iter().map(|&(_, d)| d).max().unwrap_or(0);
     println!(
-        "log      : {} entries, {} gantt segments, {} rate changes, peak queue depth {}",
-        report.event_log.len(),
+        "log      : {} events, {} gantt segments, {} rate changes, peak queue depth {}",
+        events.len(),
         segments.len(),
-        report.event_log.rate_changes(),
+        dvfs_sim::rate_changes(&events),
         max_depth
     );
     if let Some(path) = args.get("gantt") {
@@ -613,7 +613,7 @@ mod tests {
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("active_energy_joules"));
         let log_text = std::fs::read_to_string(&log).unwrap();
-        assert!(log_text.contains("Dispatch"));
+        assert!(log_text.contains("\"ev\":\"dispatch\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -647,48 +647,36 @@ mod tests {
     }
 
     #[test]
-    fn analyze_consumes_simulate_report() {
+    fn simulate_log_feeds_analyze_and_trace_export() {
         let dir = std::env::temp_dir().join("dvfs-cli-analyze");
         std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("t.jsonl");
-        let report = dir.join("r.json");
-        let log = dir.join("l.jsonl");
-        let gantt = dir.join("g.csv");
-        let queue = dir.join("q.csv");
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (trace, report, log) = (path("t.jsonl"), path("r.json"), path("l.jsonl"));
+        let (gantt, queue, chrome) = (path("g.csv"), path("q.csv"), path("c.json"));
+        dispatch(&sv(&["generate-trace", "--out", &trace, "--scale", "500"])).unwrap();
         dispatch(&sv(&[
-            "generate-trace",
-            "--out",
-            trace.to_str().unwrap(),
-            "--scale",
-            "500",
+            "simulate", "--trace", &trace, "--policy", "ondemand", "--report", &report, "--log",
+            &log,
         ]))
         .unwrap();
         dispatch(&sv(&[
-            "simulate",
-            "--trace",
-            trace.to_str().unwrap(),
-            "--policy",
-            "lmc",
-            "--report",
-            report.to_str().unwrap(),
-            "--log",
-            log.to_str().unwrap(),
+            "analyze", "--report", &report, "--log", &log, "--gantt", &gantt, "--queue", &queue,
         ]))
         .unwrap();
-        dispatch(&sv(&[
-            "analyze",
-            "--report",
-            report.to_str().unwrap(),
-            "--gantt",
-            gantt.to_str().unwrap(),
-            "--queue",
-            queue.to_str().unwrap(),
-        ]))
-        .unwrap();
+        dispatch(&sv(&["trace-export", "--in", &log, "--out", &chrome])).unwrap();
         let g = std::fs::read_to_string(&gantt).unwrap();
-        assert!(g.starts_with("core,task,start,end,rate"));
+        let mut rows = g.lines();
+        assert_eq!(rows.next(), Some("core,task,start,end,rate"));
+        assert!(rows.count() > 0, "gantt csv has rows");
         let q = std::fs::read_to_string(&queue).unwrap();
-        assert!(q.starts_with("time,depth"));
+        let mut rows = q.lines();
+        assert_eq!(rows.next(), Some("time,depth"));
+        assert!(rows.count() > 0, "queue csv has rows");
+        let json: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
+        assert!(json.get("traceEvents").is_some());
+        // The CSVs need the trace; the report alone is not enough.
+        assert!(dispatch(&sv(&["analyze", "--report", &report, "--gantt", &gantt])).is_err());
         assert!(dispatch(&sv(&["analyze", "--report", "/nope.json"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -21,9 +21,12 @@
 //!   replay is fully deterministic.
 //!
 //! Simulation extras — frequency [`governor`]s, a contention model, DVFS
-//! switch latency, the power timeline and the decision [`EventLog`] —
-//! are off in [`SimConfig::new`] and cost the default configuration no
-//! more than a flag test each.
+//! switch latency and the power timeline — are off in [`SimConfig::new`]
+//! and cost the default configuration no more than a flag test each.
+//! Every transition (dispatch, preemption, rate change, completion) has
+//! one record path: the optional [`TraceSink`] attached with
+//! [`Engine::set_trace_sink`], the same lifecycle stream the service
+//! traces.
 
 pub mod event;
 pub mod governor;
@@ -34,7 +37,6 @@ use dvfs_trace::TraceSink;
 use event::{Event, EventKind, EventQueue};
 use std::collections::BTreeMap;
 
-pub use dvfs_model::{EventLog, LogEntry, LogEvent};
 pub use governor::GovernorKind;
 
 /// Contention factor: given the number of simultaneously busy cores,
@@ -68,9 +70,6 @@ pub struct SimConfig {
     /// Real per-core DVFS transitions cost on the order of tens of
     /// microseconds; the default 0 models the paper's idealization.
     pub switch_latency_s: f64,
-    /// Record a decision [`EventLog`] (arrivals, dispatches,
-    /// preemptions, rate changes, completions).
-    pub record_event_log: bool,
     /// Safety valve: abort after this many processed events.
     pub event_budget: u64,
 }
@@ -91,7 +90,6 @@ impl SimConfig {
             contention: None,
             record_power_timeline: false,
             switch_latency_s: 0.0,
-            record_event_log: false,
             event_budget: 2_000_000_000,
         }
     }
@@ -124,13 +122,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_power_timeline(mut self) -> Self {
         self.record_power_timeline = true;
-        self
-    }
-
-    /// Enable decision logging.
-    #[must_use]
-    pub fn with_event_log(mut self) -> Self {
-        self.record_event_log = true;
         self
     }
 
@@ -199,7 +190,6 @@ pub struct Engine {
     active_energy: f64,
     power_timeline: Vec<(f64, f64)>,
     last_completion: f64,
-    event_log: EventLog,
     /// Whether governor ticks have been primed (first run/step).
     started: bool,
     /// Incremental mode: tasks may keep arriving via [`Engine::push_task`],
@@ -259,7 +249,6 @@ impl Engine {
             active_energy: 0.0,
             power_timeline: Vec::new(),
             last_completion: 0.0,
-            event_log: EventLog::default(),
             started: false,
             incremental: false,
             processed: 0,
@@ -277,12 +266,6 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    fn log(&mut self, event: LogEvent) {
-        if self.cfg.record_event_log {
-            self.event_log.push(self.now, event);
-        }
     }
 
     /// Attach (or detach, with `None`) a lifecycle trace sink. The
@@ -514,7 +497,7 @@ impl Engine {
     }
 
     /// Switch core `j` to `rate` (already checked against its cap) and
-    /// log, trace and actuate the change.
+    /// trace and actuate the change.
     fn change_rate(&mut self, j: CoreId, rate: RateIdx) {
         let from = self.cores[j].rate;
         self.cores[j].rate = rate;
@@ -522,11 +505,6 @@ impl Engine {
             self.cores[j].stall_until = self.now + self.cfg.switch_latency_s;
         }
         self.actuate(j, rate);
-        self.log(LogEvent::RateChange {
-            core: j,
-            from,
-            to: rate,
-        });
         self.trace_record(dvfs_trace::EventKind::RateChange {
             core: j as u32,
             from: from as u32,
@@ -564,7 +542,6 @@ impl Engine {
                 debug_assert_eq!(job.phase, JobPhase::Future);
                 job.phase = JobPhase::Ready;
                 let t = job.task.clone();
-                self.log(LogEvent::Arrival { task: t.id });
                 policy.on_arrival(self, &t);
             }
             EventKind::Completion { core, epoch } => {
@@ -590,7 +567,6 @@ impl Engine {
                 self.done += 1;
                 self.last_completion = self.now;
                 self.completed.push(tid);
-                self.log(LogEvent::Completion { core, task: tid });
                 if self.trace.is_some() {
                     let rec = self.jobs[&tid].record;
                     self.trace_record(dvfs_trace::EventKind::Complete {
@@ -736,18 +712,6 @@ impl Engine {
         &self.cores[j].residency
     }
 
-    /// The decision log accumulated so far (empty unless
-    /// [`SimConfig::with_event_log`]).
-    #[must_use]
-    pub fn event_log(&self) -> &EventLog {
-        &self.event_log
-    }
-
-    /// Move the decision log out, leaving it empty.
-    pub fn take_event_log(&mut self) -> EventLog {
-        std::mem::take(&mut self.event_log)
-    }
-
     /// Move the power timeline out, leaving it empty (empty unless
     /// [`SimConfig::with_power_timeline`]).
     pub fn take_power_timeline(&mut self) -> Vec<(f64, f64)> {
@@ -829,11 +793,6 @@ impl ExecutorView for Engine {
         self.cores[j].running = Some(task);
         let rate_now = self.cores[j].rate;
         self.actuate(j, rate_now);
-        self.log(LogEvent::Dispatch {
-            core: j,
-            task,
-            rate: rate_now,
-        });
         if self.trace.is_some() {
             // Same arithmetic as `reschedule`, so the predicted energy is
             // bit-comparable with the measured accrual when a dispatch
@@ -860,7 +819,6 @@ impl ExecutorView for Engine {
         job.phase = JobPhase::Ready;
         job.record.preemptions += 1;
         self.cores[j].running = None;
-        self.log(LogEvent::Preempt { core: j, task: tid });
         self.trace_record(dvfs_trace::EventKind::Preempt {
             task: tid.0,
             core: j as u32,

@@ -11,7 +11,7 @@
 use crate::stage::StageStamp;
 use dvfs_model::{Task, TaskClass};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +88,9 @@ impl AdmissionPolicy {
     }
 }
 
-/// Outcome of a gated submit ([`AdmissionQueue::try_submit_gated`]).
+/// Outcome of a gated submit (`AdmissionQueue::try_submit_stamped`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateOutcome {
+pub(crate) enum GateOutcome {
     /// Admitted; carries the queue depth including the new task.
     Admitted(usize),
     /// Shed by the admission policy.
@@ -107,7 +107,6 @@ pub enum GateOutcome {
 pub struct AdmissionQueue {
     policy: AdmissionPolicy,
     inner: Mutex<VecDeque<(Task, StageStamp)>>,
-    nonempty: Condvar,
 }
 
 impl AdmissionQueue {
@@ -117,7 +116,6 @@ impl AdmissionQueue {
         AdmissionQueue {
             policy,
             inner: Mutex::new(VecDeque::new()),
-            nonempty: Condvar::new(),
         }
     }
 
@@ -138,7 +136,7 @@ impl AdmissionQueue {
     /// # Errors
     /// Returns the shed reason when the queue is full for this class.
     pub fn try_submit(&self, task: Task) -> Result<usize, ShedReason> {
-        match self.try_submit_gated(task, || true) {
+        match self.try_submit_stamped(task, crate::clock::wall_now(), || true) {
             GateOutcome::Admitted(depth) => Ok(depth),
             GateOutcome::Shed(reason) => Err(reason),
             // dvfs-lint: allow(panic) the gate closure is the constant `|| true`, so `Closed` is statically impossible here
@@ -154,15 +152,10 @@ impl AdmissionQueue {
     /// the flag inside the gate and is refused. Checking the flag
     /// outside the lock leaves a window where a task is acknowledged
     /// after the final drain and silently lost.
-    pub fn try_submit_gated(&self, task: Task, open: impl FnOnce() -> bool) -> GateOutcome {
-        let recv = crate::clock::wall_now();
-        self.try_submit_stamped(task, recv, open)
-    }
-
-    /// [`try_submit_gated`](Self::try_submit_gated) with an explicit
-    /// wire-receive instant. The admission instant is stamped under the
-    /// queue lock, so queue-wait measured by the worker starts exactly
-    /// when the task became drainable.
+    ///
+    /// `recv` is the wire-receive instant. The admission instant is
+    /// stamped under the queue lock, so queue-wait measured by the
+    /// worker starts exactly when the task became drainable.
     pub(crate) fn try_submit_stamped(
         &self,
         task: Task,
@@ -181,10 +174,7 @@ impl AdmissionQueue {
             admitted: crate::clock::wall_now(),
         };
         q.push_back((task, stamp));
-        let depth = q.len();
-        drop(q);
-        self.nonempty.notify_one();
-        GateOutcome::Admitted(depth)
+        GateOutcome::Admitted(q.len())
     }
 
     /// Take every queued task (scheduler side).
@@ -201,21 +191,6 @@ impl AdmissionQueue {
     #[must_use]
     pub fn depth(&self) -> usize {
         self.lock().len()
-    }
-
-    /// Block until the queue is non-empty or `timeout` passes; returns
-    /// the depth observed. Lets a paced scheduler sleep between ticks
-    /// without missing a burst.
-    pub fn wait_nonempty(&self, timeout: std::time::Duration) -> usize {
-        let q = self.lock();
-        if !q.is_empty() {
-            return q.len();
-        }
-        let (q, _) = self
-            .nonempty
-            .wait_timeout(q, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        q.len()
     }
 }
 
@@ -285,14 +260,17 @@ mod tests {
 
     #[test]
     fn gated_submit_refuses_when_closed_and_admits_when_open() {
+        let gated = |q: &AdmissionQueue, t: Task, open: bool| {
+            q.try_submit_stamped(t, crate::clock::wall_now(), || open)
+        };
         let q = AdmissionQueue::new(AdmissionPolicy::with_capacity(4));
         assert_eq!(
-            q.try_submit_gated(task(1, TaskClass::Interactive), || false),
+            gated(&q, task(1, TaskClass::Interactive), false),
             GateOutcome::Closed
         );
         assert_eq!(q.depth(), 0, "a closed gate admits nothing");
         assert_eq!(
-            q.try_submit_gated(task(1, TaskClass::Interactive), || true),
+            gated(&q, task(1, TaskClass::Interactive), true),
             GateOutcome::Admitted(1)
         );
         // The gate is evaluated before the shed decision: a closed
@@ -303,20 +281,12 @@ mod tests {
         });
         q.try_submit(task(1, TaskClass::NonInteractive)).unwrap();
         assert_eq!(
-            q.try_submit_gated(task(2, TaskClass::NonInteractive), || false),
+            gated(&q, task(2, TaskClass::NonInteractive), false),
             GateOutcome::Closed
         );
         assert!(matches!(
-            q.try_submit_gated(task(2, TaskClass::NonInteractive), || true),
+            gated(&q, task(2, TaskClass::NonInteractive), true),
             GateOutcome::Shed(_)
         ));
-    }
-
-    #[test]
-    fn wait_nonempty_returns_immediately_when_fed() {
-        let q = AdmissionQueue::new(AdmissionPolicy::with_capacity(4));
-        q.try_submit(task(1, TaskClass::Interactive)).unwrap();
-        let depth = q.wait_nonempty(std::time::Duration::from_millis(1));
-        assert_eq!(depth, 1);
     }
 }

@@ -61,7 +61,7 @@ pub mod snapshot;
 pub mod stage;
 pub(crate) mod worker;
 
-pub use admission::{AdmissionPolicy, AdmissionQueue, GateOutcome, ShedReason};
+pub use admission::{AdmissionPolicy, AdmissionQueue, ShedReason};
 pub use executor::{RealTimeExecutor, RoundReport, SimulatedActuator};
 pub use loadgen::{class_idx, DrainSummary, IdleSummary, LoadMode, LoadReport, StageQuantiles};
 pub use metrics::{prometheus_text, shard_metric, Counter, Gauge, Histogram, Registry};

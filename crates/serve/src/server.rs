@@ -10,9 +10,9 @@
 //!
 //! Both feed the same [`Scheduler`] through the same line pipeline:
 //! `dvfs-net`'s incremental [`LineFramer`] splits the byte stream,
-//! every complete line of a read is handled as one batch
-//! (`handle_lines`, which folds consecutive submits into a single
-//! `Scheduler::submit_many` admission call), and both shed connections
+//! every complete line of a read is parsed once and handled as one
+//! batch (`handle_requests`, which folds consecutive submits into a
+//! single `Scheduler::submit_many` admission call), and both shed connections
 //! over [`ServerConfig::max_connections`] at accept time with the
 //! explicit `overloaded` wire response. A malformed line produces a
 //! `bad_request` response and the connection continues — client input
@@ -553,7 +553,7 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize
 
 /// Run the `dvfs-net` mini-reactor over the bound listener: the other
 /// side of the front-end seam. Occupies the same accept-thread slot as
-/// [`accept_loop`]; protocol logic is shared via [`handle_lines`].
+/// [`accept_loop`]; protocol logic is shared via [`handle_requests`].
 fn reactor_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize) {
     if !set_listener_nonblocking(listener, shared) {
         return;
@@ -619,23 +619,27 @@ fn reactor_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usiz
 struct WireHandler {
     shared: Arc<Shared>,
     max_connections: usize,
-    slow_tx: std::sync::mpsc::Sender<(u64, Instant, Vec<String>)>,
+    slow_tx: std::sync::mpsc::Sender<(u64, Instant, Vec<Parsed>)>,
     /// Receiver parked here until [`dvfs_net::Handler::on_start`]
     /// hands over the injector and the slow-path thread spawns.
-    slow_rx: Option<std::sync::mpsc::Receiver<(u64, Instant, Vec<String>)>>,
+    slow_rx: Option<std::sync::mpsc::Receiver<(u64, Instant, Vec<Parsed>)>>,
     slow_join: Option<JoinHandle<()>>,
 }
 
-/// Whether every line of the batch is answerable without waiting on
+/// One parsed request line: the request, or the parse error its
+/// `bad_request` response carries.
+type Parsed = Result<Request, String>;
+
+/// Whether every request of the batch is answerable without waiting on
 /// the shard workers: submits, pings, and `health` — which reads only
 /// heartbeat slots and leaf-locked metrics — plus malformed lines,
 /// which cost one error response. `drain`/`stats`/`trace`/
 /// `trace_stream`/`shutdown` wait on worker replies or file writes —
 /// those batches belong on the slow lane.
-fn batch_is_fast(lines: &[String]) -> bool {
-    lines.iter().all(|line| {
+fn batch_is_fast(requests: &[Parsed]) -> bool {
+    requests.iter().all(|req| {
         matches!(
-            parse_request(line),
+            req,
             Ok(Request::Submit { .. } | Request::Ping | Request::Health) | Err(_)
         )
     })
@@ -648,8 +652,8 @@ impl dvfs_net::Handler for WireHandler {
         };
         let shared = Arc::clone(&self.shared);
         self.slow_join = Some(std::thread::spawn(move || {
-            while let Ok((token, recv, lines)) = rx.recv() {
-                let (responses, shutdown) = handle_lines(&lines, &shared, recv);
+            while let Ok((token, recv, requests)) = rx.recv() {
+                let (responses, shutdown) = handle_requests(requests, &shared, recv);
                 // Inject before acting on a shutdown request: the ack
                 // must be in the reactor's mailbox before the stop
                 // flag is raised, so the final flush carries it out.
@@ -671,19 +675,23 @@ impl dvfs_net::Handler for WireHandler {
         // The reactor calls straight out of its read loop, so "now" is
         // the wire-receive stamp for every line of the batch.
         let recv = crate::clock::wall_now();
-        if pending == 0 && batch_is_fast(lines) {
-            let (responses, _shutdown) = handle_lines(lines, &self.shared, recv);
+        // Each line is parsed once; the parsed batch picks the lane and
+        // is what either lane answers.
+        let requests: Vec<Parsed> = lines.iter().map(|line| parse_request(line)).collect();
+        if pending == 0 && batch_is_fast(&requests) {
+            let (responses, _shutdown) = handle_requests(requests, &self.shared, recv);
             for r in &responses {
                 respond(r);
             }
             return 0;
         }
-        if self.slow_tx.send((token, recv, lines.to_vec())).is_ok() {
-            return 1;
-        }
+        let requests = match self.slow_tx.send((token, recv, requests)) {
+            Ok(()) => return 1,
+            Err(std::sync::mpsc::SendError((_, _, requests))) => requests,
+        };
         // Slow lane gone (only possible mid-teardown): answer inline
         // rather than drop the batch.
-        let (responses, shutdown) = handle_lines(lines, &self.shared, recv);
+        let (responses, shutdown) = handle_requests(requests, &self.shared, recv);
         for r in &responses {
             respond(r);
         }
@@ -850,19 +858,26 @@ fn flush_submits(
     pending.clear();
 }
 
-/// The line pipeline both front-ends share: one batch of complete
+/// The request pipeline both front-ends share: one batch of parsed
 /// request lines in, one response line per request line out, in order.
 /// Consecutive submits are folded into a single admission call stamped
 /// with `recv` (when the batch's bytes came off the wire); the `bool`
 /// reports a shutdown request (remaining lines in the batch are not
 /// processed, matching the thread backend's historical
-/// respond-then-close behavior).
-fn handle_lines(lines: &[String], shared: &Shared, recv: Instant) -> (Vec<String>, bool) {
-    let mut out = Vec::with_capacity(lines.len());
+/// respond-then-close behavior). The thread backend passes a lazy
+/// parse of its lines, the reactor the batch it already parsed to pick
+/// a lane — either way each line is parsed exactly once.
+fn handle_requests(
+    requests: impl IntoIterator<Item = Parsed>,
+    shared: &Shared,
+    recv: Instant,
+) -> (Vec<String>, bool) {
+    let requests = requests.into_iter();
+    let mut out = Vec::with_capacity(requests.size_hint().0);
     let mut pending: Vec<SubmitItem> = Vec::new();
     let mut shutdown = false;
-    for line in lines {
-        match parse_request(line) {
+    for request in requests {
+        match request {
             Ok(Request::Submit {
                 id,
                 cycles,
@@ -892,6 +907,12 @@ fn handle_lines(lines: &[String], shared: &Shared, recv: Instant) -> (Vec<String
     }
     flush_submits(&mut pending, &mut out, shared, recv);
     (out, shutdown)
+}
+
+/// Thread-backend line batch: parse each line as the pipeline reaches
+/// it, so lines after a shutdown request are never parsed.
+fn handle_lines(lines: &[String], shared: &Shared, recv: Instant) -> (Vec<String>, bool) {
+    handle_requests(lines.iter().map(|line| parse_request(line)), shared, recv)
 }
 
 /// Thread-backend frame dispatch: split a read's frames into line

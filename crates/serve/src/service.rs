@@ -68,12 +68,12 @@
 //! reads an atomic shutdown flag, reserves the task id under a small
 //! id-ledger mutex, and hands the task to one shard's admission queue
 //! (which has its own lock and re-checks the shutdown flag inside it —
-//! see [`AdmissionQueue::try_submit_gated`]). `tick`, `drain`, and
+//! see `AdmissionQueue::try_submit_stamped`). `tick`, `drain`, and
 //! `stats` broadcast a command to every worker and collect the
-//! one-shot replies in ascending shard order, so a slow scheduling
-//! round never blocks admission, a slow round on one shard never
-//! blocks the others — and with `shards = N` on an N-core host the
-//! rounds genuinely run in parallel.
+//! one-shot replies in ascending shard order (the one `ask_all`
+//! fan-out), so a slow scheduling round never blocks admission, a slow
+//! round on one shard never blocks the others — and with `shards = N`
+//! on an N-core host the rounds genuinely run in parallel.
 //!
 //! A drain is still a global round barrier: a small `round_mx` mutex
 //! serializes rounds, and the id ledger and paced clock reset inside
@@ -93,6 +93,7 @@ use dvfs_trace::{ClassTag, EventKind as TraceKind, SharedRing, TraceEvent};
 use serde::Value;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -760,6 +761,46 @@ impl Scheduler {
             .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(hook));
     }
 
+    /// Send one command to shard `k`'s worker and wait for its reply.
+    /// `cmd` builds the command around the one-shot reply sender.
+    ///
+    /// # Panics
+    /// Panics, naming the shard and `what`, when the worker thread is
+    /// gone before it replies.
+    fn ask<T>(&self, k: usize, what: &str, cmd: impl FnOnce(Sender<T>) -> Command) -> T {
+        let (tx, rx) = worker::reply_channel();
+        self.workers[k].send(cmd(tx));
+        rx.recv()
+            .unwrap_or_else(|_| panic!("shard {k} worker exited during {what}"))
+    }
+
+    /// Broadcast a command to every worker before waiting on any, so
+    /// the shards service it in parallel, then yield the replies in
+    /// ascending shard order as each one is received.
+    ///
+    /// # Panics
+    /// The returned iterator panics like [`Scheduler::ask`] when a
+    /// worker is gone before it replies.
+    fn ask_all<T>(
+        &self,
+        what: &'static str,
+        cmd: impl Fn(Sender<T>) -> Command,
+    ) -> impl Iterator<Item = T> {
+        let replies: Vec<Receiver<T>> = self
+            .workers
+            .iter()
+            .map(|w| {
+                let (tx, rx) = worker::reply_channel();
+                w.send(cmd(tx));
+                rx
+            })
+            .collect();
+        replies.into_iter().enumerate().map(move |(k, rx)| {
+            rx.recv()
+                .unwrap_or_else(|_| panic!("shard {k} worker exited during {what}"))
+        })
+    }
+
     /// One paced step: broadcast a tick to every worker — each pulls
     /// admitted work into its engine, advances the executor clock to
     /// its wall-mapped target, and streams completions into the
@@ -767,19 +808,10 @@ impl Scheduler {
     /// With more shards than one, the per-shard steps run genuinely in
     /// parallel on the worker threads.
     pub fn tick(&self) {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = worker::reply_channel();
-            w.send(Command::Tick { reply: tx });
-            replies.push(rx);
-        }
-        let mut pending_total = 0i64;
-        for (k, rx) in replies.into_iter().enumerate() {
-            let reply = rx
-                .recv()
-                .unwrap_or_else(|_| panic!("shard {k} worker exited during tick"));
-            pending_total += reply.pending as i64;
-        }
+        let pending_total: i64 = self
+            .ask_all("tick", |reply| Command::Tick { reply })
+            .map(|reply| reply.pending as i64)
+            .sum();
         self.metrics.gauge("pending_tasks").set(pending_total);
         let t0 = crate::clock::wall_now();
         self.rebalance_once();
@@ -842,31 +874,20 @@ impl Scheduler {
             reason = "gap_share is in (0, 0.5], so the product is a small non-negative count"
         )]
         let batch = ((backlog as f64 * gap_share) as usize).clamp(1, self.cfg.rebalance.max_batch);
-        let (tx, rx) = worker::reply_channel();
-        self.workers[hot].send(Command::Steal {
-            max: batch,
-            reply: tx,
-        });
-        let tasks = rx
-            .recv()
-            .unwrap_or_else(|_| panic!("shard {hot} worker exited during steal"));
+        let tasks = self.ask(hot, "steal", |reply| Command::Steal { max: batch, reply });
         if tasks.is_empty() {
             // Every backlogged job was already running or not yet
             // arrived; nothing safe to move this pass.
             return;
         }
         let moved = tasks.len() as u64;
-        let (tx, rx) = worker::reply_channel();
-        self.workers[cold].send(Command::Inject {
+        let injected = self.ask(cold, "inject", |reply| Command::Inject {
             from_shard: hot as u32,
             from_cost: hot_cost,
             to_cost: cold_cost,
             tasks,
-            reply: tx,
+            reply,
         });
-        let injected = rx
-            .recv()
-            .unwrap_or_else(|_| panic!("shard {cold} worker exited during inject"));
         debug_assert_eq!(
             injected as u64, moved,
             "cold shard accepts every stolen task"
@@ -907,16 +928,10 @@ impl Scheduler {
             // a post-reset id reuse would collide in the next round's
             // engine.
             let mut ids = self.lock_ids();
-            let mut replies = Vec::with_capacity(self.workers.len());
-            for w in &self.workers {
-                let (tx, rx) = worker::reply_channel();
-                w.send(Command::Drain { reply: tx });
-                replies.push(rx);
-            }
-            for (k, rx) in replies.into_iter().enumerate() {
-                let report = rx
-                    .recv()
-                    .unwrap_or_else(|_| panic!("shard {k} worker exited during drain"));
+            for (k, report) in self
+                .ask_all("drain", |reply| Command::Drain { reply })
+                .enumerate()
+            {
                 // Capture the round's trace as each shard's report
                 // lands (ascending shard order, because this loop is).
                 self.drain_shard_trace(&self.shards[k]);
@@ -1143,20 +1158,8 @@ impl Scheduler {
     /// Sum of pending (registered but uncompleted) tasks across every
     /// worker, via a stats broadcast.
     fn pending_tasks_total(&self) -> usize {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = worker::reply_channel();
-            w.send(Command::Stats { reply: tx });
-            replies.push(rx);
-        }
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(k, rx)| {
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("shard {k} worker exited during stats"))
-                    .pending
-            })
+        self.ask_all("stats", |reply| Command::Stats { reply })
+            .map(|reply| reply.pending)
             .sum()
     }
 
@@ -1164,20 +1167,12 @@ impl Scheduler {
     /// depths and clocks (collected from the workers in ascending shard
     /// order).
     pub fn stats(&self) -> Response {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = worker::reply_channel();
-            w.send(Command::Stats { reply: tx });
-            replies.push(rx);
-        }
+        let replies = self.ask_all("stats", |reply| Command::Stats { reply });
         let mut shard_stats = Vec::with_capacity(self.shards.len());
         let mut depth_total = 0u64;
         let mut pending_total = 0u64;
         let mut now_max = 0.0f64;
-        for (sh, rx) in self.shards.iter().zip(replies) {
-            let reply = rx
-                .recv()
-                .unwrap_or_else(|_| panic!("shard {} worker exited during stats", sh.index));
+        for (sh, reply) in self.shards.iter().zip(replies) {
             // Waiting work wherever it sits: admission depth plus the
             // engine backlog — the same combined load the router and
             // the rebalancer score shards by.
@@ -1361,7 +1356,7 @@ impl Scheduler {
             if queued == 0 && pending == 0 {
                 break;
             }
-            let _ = self.drain_run();
+            self.drain_shards();
         }
     }
 }

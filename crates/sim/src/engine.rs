@@ -58,7 +58,7 @@ impl Simulator {
     }
 
     /// Snapshot a report of everything simulated so far without
-    /// consuming the simulator (the timeline and event log move out;
+    /// consuming the simulator (the power timeline moves out;
     /// incremental callers should treat this as final).
     pub fn report(&mut self, policy: String) -> SimReport {
         let e = &mut self.engine;
@@ -81,7 +81,6 @@ impl Simulator {
             core_busy: cores.clone().map(|j| e.core_busy(j)).collect(),
             rate_residency: cores.map(|j| e.rate_residency(j).to_vec()).collect(),
             power_timeline: e.take_power_timeline(),
-            event_log: e.take_event_log(),
         }
     }
 }
@@ -478,39 +477,44 @@ mod tests {
     }
 
     #[test]
-    fn event_log_records_lifecycle() {
-        let cfg = SimConfig::new(single_core_platform()).with_event_log();
-        let mut sim = Simulator::new(cfg);
+    fn trace_records_lifecycle() {
+        let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
+        let ring = dvfs_trace::SharedRing::new(0, usize::MAX);
+        sim.set_trace_sink(Some(Box::new(ring.clone())));
         sim.add_tasks(&[
             Task::batch(1, 1_600_000_000).unwrap(),
             Task::batch(2, 1_600_000_000).unwrap(),
         ]);
         let report = sim.run(&mut Fifo::new(2));
-        let log = &report.event_log;
-        assert!(!log.is_empty());
-        use crate::LogEvent;
-        let count =
-            |pred: fn(&LogEvent) -> bool| log.entries.iter().filter(|e| pred(&e.event)).count();
-        assert_eq!(count(|e| matches!(e, LogEvent::Arrival { .. })), 2);
-        assert_eq!(count(|e| matches!(e, LogEvent::Dispatch { .. })), 2);
-        assert_eq!(count(|e| matches!(e, LogEvent::Completion { .. })), 2);
+        let trace = ring.drain();
+        assert!(!trace.is_empty());
+        let count = |name: &str| trace.iter().filter(|e| e.kind.name() == name).count();
+        // Arrivals are not traced; the run's records carry them.
+        assert_eq!(report.tasks.len(), 2);
+        assert_eq!(count("dispatch"), 2);
+        assert_eq!(count("complete"), 2);
         assert_eq!(
-            log.rate_changes(),
+            count("rate_change"),
             0,
-            "dispatch-time rate selection is logged as the dispatch itself"
+            "dispatch-time rate selection is traced as the dispatch itself"
         );
         // Per-task view has arrival -> dispatch -> completion in order.
-        let t1: Vec<_> = log.for_task(TaskId(1)).collect();
+        let mut t1 = vec![report.tasks[&TaskId(1)].arrival];
+        t1.extend(trace.iter().filter_map(|e| match e.kind {
+            dvfs_trace::EventKind::Dispatch { task: 1, .. }
+            | dvfs_trace::EventKind::Complete { task: 1, .. } => Some(e.time),
+            _ => None,
+        }));
         assert_eq!(t1.len(), 3);
-        assert!(t1.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(t1.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
-    fn event_log_off_by_default() {
+    fn no_trace_sink_by_default() {
         let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
         sim.add_tasks(&[Task::batch(1, 100_000).unwrap()]);
-        let report = sim.run(&mut Fifo::new(0));
-        assert!(report.event_log.is_empty());
+        sim.run(&mut Fifo::new(0));
+        assert!(sim.take_trace_sink().is_none());
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! The execution semantics (continuous cycle progress, completion
 //! epochs, event order) are documented on `dvfs_core::exec`. This crate
 //! adds the [`Simulator`] wrapper that finalises a run into a
-//! [`SimReport`], and the offline [`analysis`] of its decision log.
+//! [`SimReport`], and the offline [`analysis`] of a run's lifecycle
+//! trace — the `dvfs-trace` stream a simulator records through
+//! `Engine::set_trace_sink`, in the same schema the service emits.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,8 +36,8 @@ pub mod analysis;
 pub mod engine;
 pub mod metrics;
 
-pub use analysis::{gantt, queue_depth_series, GanttSegment};
-pub use dvfs_core::exec::{EventLog, GovernorKind, LogEntry, LogEvent, SimConfig};
+pub use analysis::{gantt, queue_depth_series, rate_changes, GanttSegment};
+pub use dvfs_core::exec::{GovernorKind, SimConfig};
 pub use engine::Simulator;
 pub use metrics::{SimReport, TaskRecord};
 

@@ -32,8 +32,6 @@ pub struct SimReport {
     pub core_busy: Vec<f64>,
     /// `rate_residency[j][r]`: seconds core `j` spent *busy* at rate `r`.
     pub rate_residency: Vec<Vec<f64>>,
-    /// The decision log (empty unless `SimConfig::with_event_log`).
-    pub event_log: crate::EventLog,
 }
 
 impl SimReport {
@@ -174,7 +172,6 @@ mod tests {
             power_timeline: vec![],
             core_busy: vec![5.0],
             rate_residency: vec![vec![2.0, 3.0]],
-            event_log: crate::EventLog::default(),
         }
     }
 

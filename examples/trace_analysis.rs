@@ -1,6 +1,6 @@
-//! Post-mortem analysis of a scheduling run: record the decision log,
-//! reconstruct the Gantt chart, and inspect frequency residency and
-//! interactive latency percentiles.
+//! Post-mortem analysis of a scheduling run: record the lifecycle
+//! trace, reconstruct the Gantt chart, and inspect frequency residency
+//! and interactive latency percentiles.
 //!
 //! ```text
 //! cargo run --release --example trace_analysis [seed]
@@ -8,7 +8,8 @@
 
 use dvfs_suite::core::LeastMarginalCost;
 use dvfs_suite::model::{CostParams, Platform, TaskClass};
-use dvfs_suite::sim::{gantt, queue_depth_series, SimConfig, Simulator};
+use dvfs_suite::sim::{gantt, queue_depth_series, rate_changes, SimConfig, Simulator};
+use dvfs_suite::trace::SharedRing;
 use dvfs_suite::workloads::JudgeTraceConfig;
 
 fn main() {
@@ -24,9 +25,14 @@ fn main() {
     let platform = Platform::i7_950_quad();
     let params = CostParams::online_paper();
     let mut policy = LeastMarginalCost::new(&platform, params);
-    let mut sim = Simulator::new(SimConfig::new(platform.clone()).with_event_log());
+    let mut sim = Simulator::new(SimConfig::new(platform.clone()));
+    // A ring that never overwrites: the whole run's lifecycle trace.
+    let ring = SharedRing::new(0, usize::MAX);
+    sim.set_trace_sink(Some(Box::new(ring.clone())));
     sim.add_tasks(&trace);
     let report = sim.run(&mut policy);
+    assert_eq!(ring.dropped(), 0);
+    let events = ring.drain();
 
     println!(
         "Run: {} tasks, makespan {:.1} s, cost {:.2}",
@@ -54,13 +60,13 @@ fn main() {
         }
     }
 
-    // Gantt reconstruction from the decision log.
-    let segments = gantt(&report.event_log);
+    // Gantt reconstruction from the trace.
+    let segments = gantt(&events);
     println!(
-        "\nDecision log: {} entries → {} Gantt segments, {} mid-run rate changes",
-        report.event_log.len(),
+        "\nTrace: {} events → {} Gantt segments, {} mid-run rate changes",
+        events.len(),
         segments.len(),
-        report.event_log.rate_changes()
+        rate_changes(&events)
     );
     println!("First segments on core 0:");
     for s in segments.iter().filter(|s| s.core == 0).take(5) {
@@ -74,7 +80,7 @@ fn main() {
     }
 
     // Backlog over time.
-    let depth = queue_depth_series(&report.event_log);
+    let depth = queue_depth_series(&events, report.tasks.values());
     let peak = depth
         .iter()
         .max_by_key(|&&(_, d)| d)

@@ -21,6 +21,11 @@ run cargo build --release
 run cargo test --workspace -q
 run cargo bench --no-run
 
+# The trace-analysis example is the simulator's lifecycle trace end to
+# end (ring sink, Gantt and queue-depth reconstruction); run it, not
+# just compile it.
+run cargo run --release -q --example trace_analysis
+
 # Docs gate: rustdoc must build clean (broken intra-doc links and
 # malformed doc comments are errors, not warnings).
 echo "==> cargo doc (deny warnings)"
