@@ -4,7 +4,8 @@
 //!   length N;
 //! * Θ(1) total-cost retrieval — the maintained value against the
 //!   `O(|P̂| log N)` query-based recomputation and the `O(N)` naive walk
-//!   (the ablation of the paper's data-structure contribution).
+//!   (the ablation of the paper's data-structure contribution);
+//! * LMC's marginal-cost probe — read-only against insert-then-remove.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvfs_core::CostLedger;
@@ -56,13 +57,26 @@ fn bench_cost_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// LMC's per-core probe: the read-only tuple fold beside the
+/// insert-then-remove it replaced (the test oracle), at the same depths.
 fn bench_marginal_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("lmc_marginal_cost_probe");
     for n in [100usize, 10_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut l = filled_ledger(n);
+        group.bench_with_input(BenchmarkId::new("read_only", n), &n, |b, &n| {
+            let l = filled_ledger(n);
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             b.iter(|| black_box(l.marginal_insert_cost(rng.gen_range(1..10_000_000_000))));
+        });
+        group.bench_with_input(BenchmarkId::new("insert_remove_oracle", n), &n, |b, &n| {
+            let mut l = filled_ledger(n);
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            b.iter(|| {
+                let before = l.total_cost();
+                let h = l.insert(rng.gen_range(1..10_000_000_000));
+                let after = l.total_cost();
+                l.remove(h);
+                black_box(after - before)
+            });
         });
     }
     group.finish();

@@ -22,6 +22,22 @@
 //! is recomputed from the `|P̂|` tuples after each update, so reading it
 //! is Θ(1).
 //!
+//! [`CostLedger::marginal_insert_cost`] (Least Marginal Cost's per-core
+//! probe) is read-only. One tree descent gives the Theorem 3 rank
+//! `k^B = 1 + #{tasks with ≥ L cycles}` (equal sizes keep insertion
+//! order, so a new task goes behind its equals) and the ξ of the ranks
+//! before it. The probe then builds the tuples Algorithm 5 would leave,
+//! in locals: the target range gains the task's own term plus the ξ of
+//! old ranks `[k^B, b_i]`, and each full range after it sheds its old
+//! `β_i` into the next. The ξ of ranks `[1, b_i]` is `Σ_{j≤i} x_j`,
+//! because the ranges tile ranks `1..N` in order. Every tuple is an
+//! exact `u128`, and the probe folds them through the same per-range
+//! expression, in the same order, as the maintained total. Its result
+//! is therefore bit-identical to inserting, reading the cost and
+//! removing, in `O(log N + |P̂|)` with no tree write. A closed-form
+//! delta summed in another order could round differently and flip LMC's
+//! ties between cores.
+//!
 //! Note: Algorithm 6 line 20 in the paper reads
 //! `d_i ← d_i − (k^B−a_i+1)·∗ptr **+** range_sum(Z, [k^B+1, b_i])`; the
 //! `+` is a typo — tasks behind the deleted one shift *down* one
@@ -166,15 +182,30 @@ impl CostLedger {
         self.tree.last()
     }
 
+    /// Range `i`'s Equation 32 term from its tuple. The maintained total
+    /// and the read-only probe both fold this one expression, in range
+    /// order, which is what makes the probe bit-exact.
+    fn range_cost(&self, i: usize, x: u128, d: u128) -> f64 {
+        let (re_e, rt_t) = self.ranges.coeffs(i);
+        let gamma = d + (self.st[i].a as u128 - 1) * x;
+        re_e * x as f64 + rt_t * gamma as f64
+    }
+
+    /// The largest-cycle tasks in rank order: backward position 1 and
+    /// the run of equal sizes behind it. `O(log N)` plus one step per
+    /// tie.
+    pub(crate) fn longest(&self) -> impl Iterator<Item = (Handle, u64)> + '_ {
+        let mut run = self.tree.iter().peekable();
+        let max = run.peek().map(|&(_, c)| c);
+        run.take_while(move |&(_, c)| Some(c) == max)
+    }
+
     fn recompute_cost(&mut self) {
         let mut c = 0.0;
         for (i, s) in self.st.iter().enumerate() {
-            if s.is_empty() {
-                continue;
+            if !s.is_empty() {
+                c += self.range_cost(i, s.x, s.d);
             }
-            let (re_e, rt_t) = self.ranges.coeffs(i);
-            let gamma = s.d + (s.a as u128 - 1) * s.x;
-            c += re_e * s.x as f64 + rt_t * gamma as f64;
         }
         self.cost = c;
     }
@@ -301,14 +332,50 @@ impl CostLedger {
 
     /// The marginal cost of inserting a task with `cycles` cycles:
     /// `C_after − C_before` (used by Least Marginal Cost when choosing a
-    /// core for a non-interactive task). Leaves the ledger unchanged.
-    pub fn marginal_insert_cost(&mut self, cycles: u64) -> f64 {
-        let before = self.cost;
-        let h = self.insert(cycles);
-        let after = self.cost;
-        self.remove(h);
-        debug_assert!((self.cost - before).abs() <= before.abs() * 1e-9 + 1e-12);
-        after - before
+    /// core for a non-interactive task). Read-only: builds the tuples
+    /// [`insert`](Self::insert) would leave and folds them as
+    /// `recompute_cost` does, so the result is bit-identical to an
+    /// insert followed by a remove. `O(log N + |P̂|)`.
+    #[must_use]
+    pub fn marginal_insert_cost(&self, cycles: u64) -> f64 {
+        let (ahead, xi_ahead) = self.tree.count_xi_at_least(cycles);
+        let kb = ahead as u64 + 1;
+        let target = self.ranges.range_index_for(kb);
+        let l = cycles as u128;
+        let mut c = 0.0;
+        // ξ of old ranks [1, b_i]: the ranges tile ranks 1..N in order.
+        let mut prefix = 0u128;
+        // Cycles of the task the previous range pushed into this one.
+        let mut carry: Option<u128> = None;
+        for (i, s) in self.st.iter().enumerate() {
+            prefix += s.x;
+            let (mut b, mut x, mut d) = (s.b, s.x, s.d);
+            if i == target {
+                // The new task at kb; old ranks [kb, b_i] shift down one.
+                b += 1;
+                x += l;
+                d += (kb - s.a + 1) as u128 * l + (prefix - xi_ahead);
+            } else if let Some(lt) = carry.take() {
+                b += 1;
+                x += lt;
+                d += x;
+            }
+            if b > s.ub {
+                // A full range sheds its old tail into the next one.
+                let lt = self
+                    .tree
+                    .cycles(s.beta.expect("overflowing range has a tail"))
+                    as u128;
+                d -= (b + 1 - s.a) as u128 * lt;
+                x -= lt;
+                b -= 1;
+                carry = Some(lt);
+            }
+            if b >= s.a {
+                c += self.range_cost(i, x, d);
+            }
+        }
+        c - self.cost
     }
 
     /// Recompute the total via per-range tree queries (Equation 32
@@ -397,6 +464,36 @@ mod tests {
 
     fn ledger() -> CostLedger {
         CostLedger::new(&RateTable::i7_950_table2(), CostParams::batch_paper())
+    }
+
+    /// The probe's oracle: Algorithm 5, the cost read, then Algorithm 6,
+    /// which must restore the total bit for bit.
+    fn insert_remove_oracle(l: &mut CostLedger, cycles: u64) -> f64 {
+        let before = l.total_cost();
+        let h = l.insert(cycles);
+        let after = l.total_cost();
+        l.remove(h);
+        assert_eq!(
+            l.total_cost().to_bits(),
+            before.to_bits(),
+            "remove restores"
+        );
+        after - before
+    }
+
+    /// A rate table and cost preset for probe-oracle runs: Table II or a
+    /// synthetic ladder, under the batch or online parameters.
+    fn oracle_ledger(table: u8, levels: usize, online: bool) -> CostLedger {
+        let table = match table {
+            0 => RateTable::i7_950_table2(),
+            _ => RateTable::synthetic_quadratic(levels, 0.8, 3.2),
+        };
+        let params = if online {
+            CostParams::online_paper()
+        } else {
+            CostParams::batch_paper()
+        };
+        CostLedger::new(&table, params)
     }
 
     #[test]
@@ -615,6 +712,77 @@ mod tests {
             l.insert(i);
         }
         l.assert_state();
+    }
+
+    /// Random ledgers under churn with a probe at every step, checked
+    /// bit for bit against insert-then-remove. Run in CI with
+    /// `cargo test --release -p dvfs-core --lib -- --ignored deep_probe`.
+    #[test]
+    #[ignore = "deep oracle sweep (~10k ledgers); run in release"]
+    fn deep_probe_oracle_sweep() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0014);
+        let mut probes = 0u64;
+        for case in 0..10_000u32 {
+            let mut l = oracle_ledger(rng.gen_range(0..2), rng.gen_range(2..10), rng.gen());
+            // Log-uniform depth up to 5k; every fourth ledger draws its
+            // sizes from a pool of 8 values, so ties are the norm.
+            let depth = rng.gen_range(0.0f64..5000f64.ln()).exp() as usize;
+            let pool = case % 4 == 0;
+            let draw = |rng: &mut ChaCha8Rng| {
+                if pool {
+                    rng.gen_range(1..=8u64) * 125_000_000
+                } else {
+                    rng.gen_range(1..10_000_000_000u64)
+                }
+            };
+            let mut live: Vec<Handle> = Vec::new();
+            while live.len() < depth {
+                let c = draw(&mut rng);
+                let want = insert_remove_oracle(&mut l, c);
+                assert_eq!(
+                    l.marginal_insert_cost(c).to_bits(),
+                    want.to_bits(),
+                    "case {case}: probe {c} at depth {}",
+                    l.len()
+                );
+                probes += 1;
+                if live.is_empty() || rng.gen_bool(0.75) {
+                    live.push(l.insert(c));
+                } else {
+                    l.remove(live.swap_remove(rng.gen_range(0..live.len())));
+                }
+            }
+        }
+        assert!(probes > 1_000_000, "sweep ran {probes} probes");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_probe_is_bit_identical_to_insert(
+            ops in prop::collection::vec((0u8..4, 1u64..10_000_000_000), 1..300),
+            table in 0u8..2,
+            levels in 2usize..10,
+            online in 0u8..2,
+            pool in 0u8..2,
+        ) {
+            let mut l = oracle_ledger(table, levels, online == 1);
+            let mut live: Vec<Handle> = Vec::new();
+            for (op, val) in ops {
+                // With `pool`, sizes come from 6 values: heavy duplicates.
+                let c = if pool == 1 { val % 6 * 1_000_000 + 1 } else { val };
+                prop_assert_eq!(
+                    l.marginal_insert_cost(c).to_bits(),
+                    insert_remove_oracle(&mut l.clone(), c).to_bits()
+                );
+                if op > 0 || live.is_empty() {
+                    live.push(l.insert(c));
+                } else {
+                    l.remove(live.swap_remove(val as usize % live.len()));
+                }
+            }
+        }
     }
 
     proptest! {

@@ -11,8 +11,9 @@
 //!   preempt any non-interactive task running there, and run the
 //!   interactive task at the core's maximum frequency. The preempted task
 //!   resumes once the interactive backlog drains.
-//! * **Non-interactive arrival** — tentatively insert into each core's
-//!   ledger and keep the insertion with the least marginal cost; the
+//! * **Non-interactive arrival** — probe each core's ledger read-only
+//!   for the marginal cost of inserting the task (Equation 32 after −
+//!   before), insert it where that is least (ties to the lower core); the
 //!   running non-interactive task's frequency is re-derived from its new
 //!   backward position (`N_waiting + 1`), since per-core DVFS may adjust
 //!   rates mid-task in the online mode.
@@ -223,20 +224,9 @@ impl LeastMarginalCost {
     pub fn steal_longest(&mut self, sim: &mut dyn ExecutorView, max: usize) -> Vec<TaskId> {
         let mut out = Vec::new();
         for _ in 0..max {
-            let mut pick: Option<(u64, TaskId, CoreId, Handle)> = None;
-            for (j, core) in self.cores.iter().enumerate() {
-                for (&h, &tid) in &core.by_handle {
-                    let cycles = core.ledger.cycles(h);
-                    let better = match pick {
-                        None => true,
-                        Some((c, t, _, _)) => cycles > c || (cycles == c && tid < t),
-                    };
-                    if better {
-                        pick = Some((cycles, tid, j, h));
-                    }
-                }
-            }
-            let Some((_, tid, j, h)) = pick else { break };
+            let Some((_, tid, j, h)) = self.longest_queued() else {
+                break;
+            };
             self.cores[j].ledger.remove(h);
             self.cores[j].by_handle.remove(&h);
             if matches!(self.cores[j].running, Some((_, TaskClass::NonInteractive))) {
@@ -248,28 +238,45 @@ impl LeastMarginalCost {
         out
     }
 
+    /// The queued task [`steal_longest`](Self::steal_longest) takes
+    /// next: most cycles, then the smaller task id, then the lower core.
+    /// Each core offers only its run of largest tasks, so a pick is
+    /// `O(cores·(log N + ties))`.
+    fn longest_queued(&self) -> Option<(u64, TaskId, CoreId, Handle)> {
+        let mut pick: Option<(u64, TaskId, CoreId, Handle)> = None;
+        for (j, core) in self.cores.iter().enumerate() {
+            for (h, cycles) in core.ledger.longest() {
+                let tid = *core
+                    .by_handle
+                    .get(&h)
+                    .expect("ledger handle maps to a task");
+                let better = match pick {
+                    None => true,
+                    Some((c, t, _, _)) => cycles > c || (cycles == c && tid < t),
+                };
+                if better {
+                    pick = Some((cycles, tid, j, h));
+                }
+            }
+        }
+        pick
+    }
+
     fn handle_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
         let tracing = sim.trace().is_some();
         let mut costs: Vec<f64> = Vec::new();
         let best = match self.placement {
             InteractivePlacement::MarginalCost => {
-                if tracing {
-                    // Provenance: re-evaluate the pure Eq. 27 scan into
-                    // a vector (identical values, identical query
-                    // order) so the decision can be audited.
-                    costs = (0..self.cores.len())
-                        .map(|j| self.interactive_marginal_cost(sim, j, task.cycles))
-                        .collect();
-                }
-                (0..self.cores.len())
-                    .map(|j| (self.interactive_marginal_cost(sim, j, task.cycles), j))
-                    .min_by(|a, b| {
-                        a.0.partial_cmp(&b.0)
-                            .expect("finite costs")
-                            .then(a.1.cmp(&b.1))
-                    })
-                    .expect("platform has cores")
-                    .1
+                // Provenance: when tracing, the Eq. 27 costs the scan
+                // compares are kept so the decision can be audited.
+                let scan = (0..self.cores.len()).map(|j| {
+                    let cost = self.interactive_marginal_cost(sim, j, task.cycles);
+                    if tracing {
+                        costs.push(cost);
+                    }
+                    cost
+                });
+                least_cost(scan)
             }
             InteractivePlacement::LeastQueue => (0..self.cores.len())
                 .min_by_key(|&j| (self.cores[j].n_waiting(), j))
@@ -330,24 +337,16 @@ impl LeastMarginalCost {
     fn handle_non_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
         let tracing = sim.trace().is_some();
         let mut costs: Vec<f64> = Vec::new();
-        if tracing {
-            // Provenance: the same ledger queries in the same order,
-            // collected so the comparison the policy made is in the
-            // trace. `marginal_insert_cost` is a query (no insert), so
-            // re-running it does not perturb the decision below.
-            costs = (0..self.cores.len())
-                .map(|j| self.cores[j].ledger.marginal_insert_cost(task.cycles))
-                .collect();
-        }
-        let best = (0..self.cores.len())
-            .map(|j| (self.cores[j].ledger.marginal_insert_cost(task.cycles), j))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite costs")
-                    .then(a.1.cmp(&b.1))
-            })
-            .expect("platform has cores")
-            .1;
+        // Provenance: when tracing, the per-core probes the scan compares
+        // are kept so the comparison the policy made is in the trace.
+        let scan = self.cores.iter().map(|core| {
+            let cost = core.ledger.marginal_insert_cost(task.cycles);
+            if tracing {
+                costs.push(cost);
+            }
+            cost
+        });
+        let best = least_cost(scan);
         let h = self.cores[best].ledger.insert(task.cycles);
         self.cores[best].by_handle.insert(h, task.id);
         if tracing {
@@ -391,6 +390,22 @@ impl LeastMarginalCost {
     }
 }
 
+/// Index of the least of per-core costs, ties to the lower core.
+///
+/// # Panics
+/// Panics on no cores or a NaN cost.
+fn least_cost(costs: impl Iterator<Item = f64>) -> CoreId {
+    costs
+        .enumerate()
+        .min_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .expect("finite costs")
+                .then(a.0.cmp(&b.0))
+        })
+        .expect("platform has cores")
+        .0
+}
+
 impl Scheduler for LeastMarginalCost {
     fn name(&self) -> String {
         "least-marginal-cost".into()
@@ -411,5 +426,63 @@ impl Scheduler for LeastMarginalCost {
         debug_assert_eq!(self.cores[core].running.map(|(t, _)| t), Some(task.id));
         self.cores[core].running = None;
         self.dispatch_next(sim, core);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dvfs_model::{CoreSpec, RateTable};
+    use proptest::prelude::*;
+
+    /// The full scan `steal_longest` used to run: every queued task on
+    /// every core, most cycles first, then the smaller task id, then
+    /// the lower core.
+    fn longest_queued_by_scan(lmc: &LeastMarginalCost) -> Option<(u64, TaskId, CoreId, Handle)> {
+        let mut pick: Option<(u64, TaskId, CoreId, Handle)> = None;
+        for (j, core) in lmc.cores.iter().enumerate() {
+            for (&h, &tid) in &core.by_handle {
+                let cycles = core.ledger.cycles(h);
+                let better = match pick {
+                    None => true,
+                    Some((c, t, _, _)) => cycles > c || (cycles == c && tid < t),
+                };
+                if better {
+                    pick = Some((cycles, tid, j, h));
+                }
+            }
+        }
+        pick
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_longest_queued_matches_full_scan(
+            tasks in prop::collection::vec((0usize..4, 1u64..6, 0u64..1_000), 0..200),
+            cores in 1usize..5,
+        ) {
+            let platform = Platform::homogeneous(
+                cores,
+                CoreSpec::new(RateTable::i7_950_table2()),
+            )
+            .unwrap();
+            let mut lmc = LeastMarginalCost::new(&platform, CostParams::online_paper());
+            // Five sizes spread over the cores, so the tie rule decides
+            // most picks; ids are unique but unrelated to arrival order.
+            for (k, &(core, size, id)) in tasks.iter().enumerate() {
+                let q = &mut lmc.cores[core % cores];
+                let h = q.ledger.insert(size * 1_000_000);
+                q.by_handle.insert(h, TaskId(id * 1_000 + k as u64));
+            }
+            loop {
+                let pick = lmc.longest_queued();
+                prop_assert_eq!(pick, longest_queued_by_scan(&lmc));
+                let Some((_, _, j, h)) = pick else { break };
+                lmc.cores[j].ledger.remove(h);
+                lmc.cores[j].by_handle.remove(&h);
+            }
+        }
     }
 }

@@ -540,6 +540,29 @@ impl CycleTree {
         }
     }
 
+    /// Count and ξ of the elements with at least `cycles` cycles: the
+    /// rank prefix a new element of `cycles` cycles would be inserted
+    /// behind (equal sizes keep insertion order). One descent,
+    /// `O(log N)`, no writes.
+    #[must_use]
+    pub fn count_xi_at_least(&self, cycles: u64) -> (usize, u128) {
+        let mut node = self.root;
+        let mut count = 0usize;
+        let mut xi = 0u128;
+        while node != NIL {
+            let nd = &self.nodes[node as usize];
+            if nd.cycles >= cycles {
+                // The node and its whole left subtree order before it.
+                count += self.size_of(nd.left) as usize + 1;
+                xi += self.xi_of(nd.left) + nd.cycles as u128;
+                node = nd.right;
+            } else {
+                node = nd.left;
+            }
+        }
+        (count, xi)
+    }
+
     /// Prefix weighted sum `γ(k) = Σ_{r<=k} r·L_r` over the first `k`
     /// ranks, with absolute ranks. `O(log N)`.
     ///

@@ -238,6 +238,67 @@ fn deterministic_across_identical_runs() {
     assert_eq!(build(), build());
 }
 
+/// Linear-scan oracle for `count_xi_at_least`.
+fn count_xi_at_least_by_scan(t: &CycleTree, cycles: u64) -> (usize, u128) {
+    t.iter()
+        .filter(|&(_, c)| c >= cycles)
+        .fold((0, 0), |(n, xi), (_, c)| (n + 1, xi + c as u128))
+}
+
+#[test]
+fn count_xi_at_least_matches_linear_scan() {
+    let empty = CycleTree::new();
+    for probe in [0, 1, 7, u64::MAX] {
+        assert_eq!(empty.count_xi_at_least(probe), (0, 0));
+    }
+
+    // All-equal sizes: the whole tree or nothing.
+    let mut same = CycleTree::new();
+    for _ in 0..40 {
+        same.insert(777);
+    }
+    assert_eq!(same.count_xi_at_least(777), (40, 40 * 777));
+    assert_eq!(same.count_xi_at_least(1), (40, 40 * 777));
+    assert_eq!(same.count_xi_at_least(778), (0, 0));
+
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let mut t = CycleTree::new();
+    for _ in 0..500 {
+        // A small pool of sizes, so runs of duplicates are long.
+        t.insert(rng.gen_range(1..60u64) * 1_000);
+    }
+    let max = t.cycles(t.first().unwrap());
+    let min = t.cycles(t.last().unwrap());
+    // Above the max: nothing; at or below the min: everything.
+    assert_eq!(t.count_xi_at_least(max + 1), (0, 0));
+    assert_eq!(t.count_xi_at_least(u64::MAX), (0, 0));
+    assert_eq!(t.count_xi_at_least(min), (500, t.total_xi()));
+    assert_eq!(t.count_xi_at_least(min - 1), (500, t.total_xi()));
+    for probe in (0..=61_000u64).step_by(250) {
+        assert_eq!(
+            t.count_xi_at_least(probe),
+            count_xi_at_least_by_scan(&t, probe),
+            "probe {probe}"
+        );
+    }
+}
+
+#[test]
+fn count_xi_at_least_is_the_rank_prefix_of_an_insert() {
+    // A new element goes behind every element of at least its size, so
+    // its rank is the count plus one and ξ of the ranks before it is the
+    // returned ξ.
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let mut t = CycleTree::new();
+    for _ in 0..300 {
+        let c = rng.gen_range(1..40u64);
+        let (count, xi) = t.count_xi_at_least(c);
+        let h = t.insert(c);
+        assert_eq!(t.rank(h), count + 1);
+        assert_eq!(t.prefix_xi(count), xi);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -285,6 +346,20 @@ proptest! {
                 tree.gamma_range(a, b),
                 tree.delta_range(a, b) + (a as u128).saturating_sub(1) * tree.xi_range(a, b)
             );
+        }
+    }
+
+    #[test]
+    fn prop_count_xi_at_least_matches_scan(
+        cycles in prop::collection::vec(1u64..50, 0..120),
+        probes in prop::collection::vec(0u64..52, 1..20),
+    ) {
+        let mut tree = CycleTree::new();
+        for c in cycles {
+            tree.insert(c);
+        }
+        for p in probes {
+            prop_assert_eq!(tree.count_xi_at_least(p), count_xi_at_least_by_scan(&tree, p));
         }
     }
 

@@ -71,6 +71,14 @@ for net in threads reactor; do
     done
 done
 
+# Ledger probe oracle sweep: ~10k random ledgers of up to 5k tasks
+# (Table II and synthetic ladders, batch and online presets, pools of
+# duplicate sizes) under churn. At every step LMC's read-only
+# `marginal_insert_cost` must equal insert-then-remove bit for bit; a
+# miss means the probe's tuple fold drifted from Algorithm 5 and can
+# flip LMC's ties. Release build: the sweep runs ~12M probes.
+run cargo test -q --release -p dvfs-core --lib -- --ignored deep_probe_oracle_sweep
+
 # Trace-overhead smoke: the ring sink on the LMC hot path must stay
 # within an order of magnitude of running untraced (a miss means the
 # record path started allocating or formatting; see dvfs-lint's
